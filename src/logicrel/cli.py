@@ -18,7 +18,7 @@ import sys
 from typing import Optional, TextIO
 
 from . import __version__
-from .equivalence import default_universe, entails, equivalent
+from .equivalence import _lowest_row, default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
 from .formula import And, Formula, Universe
 from .parser import parse, render
@@ -90,9 +90,8 @@ def _classify_one(text: str, mode: Mode, override: Optional[Universe]) -> _Outco
         return _Outcome(HOLDS, "tautology", result={"label": "tautology"}, universe=u)
     if t.is_all_false:
         return _Outcome(FAILS, "contradiction", result={"label": "contradiction"}, universe=u)
-    low_true = Interpretation.from_index(u, ((t.bits & -t.bits).bit_length() - 1))
-    false_bits = t.mask & ~t.bits
-    low_false = Interpretation.from_index(u, ((false_bits & -false_bits).bit_length() - 1))
+    low_true = Interpretation.from_index(u, _lowest_row(t.bits))
+    low_false = Interpretation.from_index(u, _lowest_row(t.mask & ~t.bits))
     return _Outcome(
         FAILS,
         "contingent",

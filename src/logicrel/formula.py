@@ -77,15 +77,18 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def subformulas_bottom_up(f: Formula) -> list[Formula]:
-    """All subformulas in post-order (duplicates retained); f itself is last."""
+    """All subformulas in post-order (duplicates retained); f itself is last.
+
+    The one walk over formulas, on an explicit stack: every other walker folds
+    over this list, popping one value per child of each node off a value stack.
+    """
     out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        for child in children(g):
-            walk(child)
+    stack = [f]
+    while stack:
+        g = stack.pop()
         out.append(g)
-
-    walk(f)
+        stack.extend(children(g))
+    out.reverse()  # node, right, left reversed is left, right, node
     return out
 
 
@@ -96,17 +99,16 @@ def letters(f: Formula) -> set[str]:
 
 def letter_sequence(f: Formula) -> list[str]:
     """Letter names in first-occurrence (left-to-right) order, deduplicated."""
-    seen: list[str] = []
-    for g in subformulas_bottom_up(f):
-        if isinstance(g, Letter) and g.name not in seen:
-            seen.append(g.name)
-    return seen
+    return list(dict.fromkeys(g.name for g in subformulas_bottom_up(f) if isinstance(g, Letter)))
 
 
 def max_imp_depth(f: Formula) -> int:
     """Maximum nesting depth of implication nodes; 0 iff f is implication-free."""
-    inner = max((max_imp_depth(c) for c in children(f)), default=0)
-    return inner + 1 if isinstance(f, Imp) else inner
+    depths: list[int] = []
+    for g in subformulas_bottom_up(f):
+        inner = max((depths.pop() for _ in children(g)), default=0)
+        depths.append(inner + isinstance(g, Imp))
+    return depths[0]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ Tokens accept ASCII and Unicode spellings interchangeably:
 IMP = `->` | `→`, OR = `|` | `∨`, AND = `&` | `∧`, NOT = `~` | `¬`,
 TOP = `T` | `⊤`, BOTTOM = `F` | `⊥`.  Letters are lowercase-initial
 identifiers, so the uppercase constant tokens stay unambiguous.
+
+Nesting is bounded: each "(" and each negation opens one level, and a formula
+nested deeper than MAX_NESTING levels is refused with a LimitError.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .formula import (
     Or,
     Top,
     letters,
+    subformulas_bottom_up,
 )
 from .limits import max_letters
 
@@ -78,6 +82,10 @@ _SPELLING = {
 _ATOM_STARTERS = frozenset(
     _SPELLING[k] for k in ("NOT", "TOP", "BOTTOM", "LPAREN", "LETTER")
 )
+
+# Each "(" and each negation opens one level; the recursive descent below
+# stays well inside Python's recursion limit up to this depth.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -142,6 +151,12 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def open_level(self) -> None:
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise LimitError(f"formula nests deeper than {MAX_NESTING} levels")
 
     def fail(self, expected: frozenset[str]) -> ParseError:
         tok = self.peek()
@@ -171,8 +186,10 @@ class _Parser:
 
     def negation(self) -> Formula:
         if self.peek().kind == "NOT":
-            self.advance()
-            return Not(self.negation())
+            self.open_level()
+            inner = self.negation()
+            self.depth -= 1
+            return Not(inner)
         return self.atom()
 
     def atom(self) -> Formula:
@@ -187,13 +204,14 @@ class _Parser:
             self.advance()
             return BOTTOM
         if tok.kind == "LPAREN":
-            self.advance()
+            self.open_level()
             inner = self.imp()
             if self.peek().kind != "RPAREN":
                 raise self.fail(
                     frozenset({_SPELLING[k] for k in ("RPAREN", "IMP", "OR", "AND")})
                 )
             self.advance()
+            self.depth -= 1
             return inner
         raise self.fail(_ATOM_STARTERS)
 
@@ -206,10 +224,9 @@ def parse(text: str) -> Formula:
         raise parser.fail(
             frozenset({_SPELLING[k] for k in ("IMP", "OR", "AND", "EOF")})
         )
-    if len(letters(f)) > max_letters():
-        raise LimitError(
-            f"formula uses {len(letters(f))} distinct letters, limit is {max_letters()}"
-        )
+    used = len(letters(f))
+    if used > max_letters():
+        raise LimitError(f"formula uses {used} distinct letters, limit is {max_letters()}")
     return f
 
 
@@ -226,16 +243,18 @@ _PREC_OR = 2
 _PREC_IMP = 1
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Not):
-        return _PREC_NOT
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, Imp):
-        return _PREC_IMP
-    return _PREC_ATOM
+# Glyph, binding strength, and the strength a left operand needs to go bare;
+# a right operand must always bind strictly tighter than its connective.
+_BINARY = {
+    And: ("and", _PREC_AND, _PREC_AND),
+    Or: ("or", _PREC_OR, _PREC_OR),
+    Imp: ("imp", _PREC_IMP, _PREC_IMP + 1),
+}
+
+
+def _wrap(item: tuple[str, int], needs: int) -> str:
+    text, prec = item
+    return f"({text})" if prec < needs else text
 
 
 def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
@@ -246,32 +265,21 @@ def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
     right-associativity.
     """
     g = _GLYPHS[style]
-
-    def wrap(child: Formula, needed: bool) -> str:
-        text = go(child)
-        return f"({text})" if needed else text
-
-    def go(node: Formula) -> str:
-        if isinstance(node, Letter):
-            return node.name
-        if isinstance(node, Top):
-            return g["top"]
-        if isinstance(node, Bottom):
-            return g["bottom"]
-        if isinstance(node, Not):
-            return g["not"] + wrap(node.child, _prec(node.child) < _PREC_NOT)
-        if isinstance(node, And):
-            left = wrap(node.left, _prec(node.left) < _PREC_AND)
-            right = wrap(node.right, _prec(node.right) <= _PREC_AND)
-            return f"{left} {g['and']} {right}"
-        if isinstance(node, Or):
-            left = wrap(node.left, _prec(node.left) < _PREC_OR)
-            right = wrap(node.right, _prec(node.right) <= _PREC_OR)
-            return f"{left} {g['or']} {right}"
-        if isinstance(node, Imp):
-            left = wrap(node.antecedent, _prec(node.antecedent) <= _PREC_IMP)
-            right = wrap(node.consequent, _prec(node.consequent) <= _PREC_IMP)
-            return f"{left} {g['imp']} {right}"
-        raise TypeError(f"not a formula: {node!r}")
-
-    return go(f)
+    stack: list[tuple[str, int]] = []  # (text, binding strength) per rendered operand
+    for node in subformulas_bottom_up(f):
+        kind = type(node)
+        if kind is Letter:
+            stack.append((node.name, _PREC_ATOM))
+        elif kind is Top:
+            stack.append((g["top"], _PREC_ATOM))
+        elif kind is Bottom:
+            stack.append((g["bottom"], _PREC_ATOM))
+        elif kind is Not:
+            stack[-1] = (g["not"] + _wrap(stack[-1], _PREC_NOT), _PREC_NOT)
+        elif kind in _BINARY:
+            glyph, prec, left_needs = _BINARY[kind]
+            right = _wrap(stack.pop(), prec + 1)
+            stack[-1] = (f"{_wrap(stack[-1], left_needs)} {g[glyph]} {right}", prec)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return stack[0][0]

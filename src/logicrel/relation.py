@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .equivalence import default_universe, equivalent, is_contradiction, is_tautology
+from .equivalence import _lowest_row, default_universe, equivalent, is_contradiction, is_tautology
 from .errors import LimitError
 from .formula import And, Formula, Imp, Not, Or, Universe
 from .semantics import Interpretation, Mode, truth_table
@@ -185,6 +185,11 @@ _SAMPLED_CHECKS = 100_000
 _SAMPLE_SEED = 20_240_601
 
 
+def le(x: int, y: int) -> bool:
+    """The relation between truth-table classes: x implies y iff x & y == x."""
+    return x & y == x
+
+
 def verify_lattice(n: int, sample_seed: int = _SAMPLE_SEED) -> LatticeReport:
     """Check that the relation partially orders all 2^(2^n) truth-table classes
     into a bounded lattice with & as meet and | as join.
@@ -202,9 +207,6 @@ def verify_lattice(n: int, sample_seed: int = _SAMPLE_SEED) -> LatticeReport:
     count = 1 << (1 << n)  # 2^(2^n) classes
     top = count - 1
     failures: list[tuple[str, tuple[int, ...]]] = []
-
-    def le(x: int, y: int) -> bool:
-        return x & y == x
 
     for x in range(count):
         if not le(x, x):
@@ -231,8 +233,7 @@ def verify_lattice(n: int, sample_seed: int = _SAMPLE_SEED) -> LatticeReport:
                 if le(x, y):
                     stray = down[x] & ~down[y]
                     if stray:
-                        w = (stray & -stray).bit_length() - 1
-                        failures.append(("transitivity", (w, x, y)))
+                        failures.append(("transitivity", (_lowest_row(stray), x, y)))
                 if down[x & y] != down[x] & down[y]:
                     failures.append(("meet", (x, y)))
                 if up[x | y] != up[x] & up[y]:
@@ -264,9 +265,6 @@ def hasse_edges(n: int) -> list[tuple[int, int]]:
     if not 1 <= n <= 2:
         raise LimitError(f"Hasse export supports 1 <= n <= 2, got {n}")
     count = 1 << (1 << n)
-
-    def le(x: int, y: int) -> bool:
-        return x & y == x
 
     edges = []
     for x in range(count):

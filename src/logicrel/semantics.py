@@ -4,9 +4,13 @@ Material mode is classical: an implication node is valued as not-antecedent or
 consequent, pointwise per interpretation.  Relational mode instead treats an
 implication as a claim about the whole universe: it holds iff
 antecedent & consequent is logically equivalent to the antecedent.  That makes
-its value global (the same at every interpretation), so nested implications
-are handled by rewriting each innermost one to the constant T or F before the
-enclosing one is judged; see eliminate_implications.
+its value global (the same at every interpretation) and a function of the
+operands' relational tables a and b alone: all rows if a & b == a, else none.
+
+So one bottom-up pass over the formula computes its table in either mode, the
+two differing only at implication nodes.  truth_table is that pass, pointwise
+evaluation reads one row of it, and eliminate_implications is the same pass
+rebuilding the formula with each implication replaced by T or F.
 
 Truth tables are stored as int bit vectors: bit i is the value at row i, and
 row i assigns letter k true iff bit k of i is set.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .errors import LimitError, UniverseMismatch
 from .formula import (
@@ -31,7 +36,8 @@ from .formula import (
     Or,
     Top,
     Universe,
-    letters,
+    children,
+    subformulas_bottom_up,
 )
 from .limits import max_letters
 
@@ -118,35 +124,6 @@ class TruthTable:
         return "\n".join(lines)
 
 
-def _check_universe(f: Formula, u: Universe) -> None:
-    missing = letters(f) - set(u.letters)
-    if missing:
-        raise UniverseMismatch(
-            f"letters {sorted(missing)} not in universe {u.letters}"
-        )
-    if len(u) > max_letters():
-        raise LimitError(f"universe has {len(u)} letters, limit is {max_letters()}")
-
-
-def eval_material(f: Formula, i: Interpretation) -> bool:
-    """Classical truth value of f at i; implication is not-antecedent-or-consequent."""
-    if isinstance(f, Letter):
-        return i.value(f.name)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Not):
-        return not eval_material(f.child, i)
-    if isinstance(f, And):
-        return eval_material(f.left, i) and eval_material(f.right, i)
-    if isinstance(f, Or):
-        return eval_material(f.left, i) or eval_material(f.right, i)
-    if isinstance(f, Imp):
-        return (not eval_material(f.antecedent, i)) or eval_material(f.consequent, i)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _letter_pattern(k: int, n_rows: int) -> int:
     # Rows where bit k is set: blocks of 2^k ones starting at 2^k, period 2^(k+1).
     block = ((1 << (1 << k)) - 1) << (1 << k)
@@ -155,58 +132,62 @@ def _letter_pattern(k: int, n_rows: int) -> int:
     return block * replicate
 
 
-def _material_bits(f: Formula, u: Universe) -> int:
-    """Whole material truth table in one bottom-up pass of int bit operations."""
+def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int, Optional[Formula]]:
+    """The evaluator: f's table over u, each node's bits from its children's on a stack.
+
+    With `rebuild`, f is also rebuilt with each implication replaced by the
+    constant its relational value stands for, and returned with the bits.
+    """
+    order = subformulas_bottom_up(f)
+    missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
+    if missing:
+        raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
+    if len(u) > max_letters():
+        raise LimitError(f"universe has {len(u)} letters, limit is {max_letters()}")
     n_rows = 1 << len(u)
     mask = (1 << n_rows) - 1
+    relational = m is Mode.RELATIONAL
+    bits: list[int] = []
+    built: list[Formula] = []
+    for g in order:
+        kind = type(g)
+        if kind is Letter:
+            value = _letter_pattern(u.position(g.name), n_rows)
+        elif kind is Top:
+            value = mask
+        elif kind is Bottom:
+            value = 0
+        elif kind is Not:
+            value = mask ^ bits.pop()
+        elif kind is And or kind is Or or kind is Imp:
+            b, a = bits.pop(), bits.pop()
+            if kind is And:
+                value = a & b
+            elif kind is Or:
+                value = a | b
+            elif relational:
+                value = mask if a & b == a else 0
+            else:
+                value = (mask ^ a) | b
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        bits.append(value)
+        if rebuild:
+            operands = [built.pop() for _ in children(g)][::-1]
+            if kind is Imp:
+                built.append(TOP if value else BOTTOM)
+            else:
+                built.append(kind(*operands) if operands else g)
+    return bits[0], built[0] if rebuild else None
 
-    def walk(g: Formula) -> int:
-        if isinstance(g, Letter):
-            return _letter_pattern(u.position(g.name), n_rows)
-        if isinstance(g, Top):
-            return mask
-        if isinstance(g, Bottom):
-            return 0
-        if isinstance(g, Not):
-            return mask ^ walk(g.child)
-        if isinstance(g, And):
-            return walk(g.left) & walk(g.right)
-        if isinstance(g, Or):
-            return walk(g.left) | walk(g.right)
-        if isinstance(g, Imp):
-            return (mask ^ walk(g.antecedent)) | walk(g.consequent)
-        raise TypeError(f"not a formula: {g!r}")
 
-    return walk(f)
+def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
+    return TruthTable(u, _fold(f, u, m)[0])
 
 
-def eliminate_implications(f: Formula, u: Universe) -> Formula:
-    """Rewrite every implication to the constant T or F, innermost first.
-
-    An implication whose operands are already implication-free becomes T when
-    antecedent & consequent is logically equivalent to the antecedent over u
-    (checked on material truth tables, sound because no implication remains in
-    the operands), F otherwise.  Terminates because the maximum implication
-    nesting depth strictly decreases with each layer.
-    """
-    _check_universe(f, u)
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Not):
-            return Not(walk(g.child))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Imp):
-            a = walk(g.antecedent)
-            b = walk(g.consequent)
-            ta = _material_bits(a, u)
-            tb = _material_bits(b, u)
-            return TOP if ta & tb == ta else BOTTOM
-        return g
-
-    return walk(f)
+def eval_material(f: Formula, i: Interpretation) -> bool:
+    """Classical truth value of f at i; implication is not-antecedent-or-consequent."""
+    return truth_table(f, i.universe, Mode.MATERIAL).value_at(i.index)
 
 
 def eval_relational(f: Formula, i: Interpretation) -> bool:
@@ -215,14 +196,18 @@ def eval_relational(f: Formula, i: Interpretation) -> bool:
     For an implication node the result does not depend on i: it is the same at
     every interpretation of the universe.
     """
-    return eval_material(eliminate_implications(f, i.universe), i)
+    return truth_table(f, i.universe, Mode.RELATIONAL).value_at(i.index)
 
 
-def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
-    _check_universe(f, u)
-    if m is Mode.RELATIONAL:
-        f = eliminate_implications(f, u)
-    return TruthTable(u, _material_bits(f, u))
+def eliminate_implications(f: Formula, u: Universe) -> Formula:
+    """f with every implication rewritten to the constant T or F.
+
+    An implication becomes T when antecedent & consequent is logically
+    equivalent to the antecedent over u, judged on the operands' relational
+    tables, F otherwise.  Inner implications are judged before the ones that
+    enclose them, in the same single pass that computes the table.
+    """
+    return _fold(f, u, Mode.RELATIONAL, rebuild=True)[1]
 
 
 _LEAF_SHARE = 0.25  # chance of cutting a branch short of the depth budget
