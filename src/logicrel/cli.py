@@ -20,7 +20,7 @@ from typing import Optional, TextIO
 from . import __version__
 from .equivalence import _lowest_row, default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
-from .formula import And, Formula, Universe
+from .formula import Formula, Universe
 from .parser import parse, render
 from .relation import (
     audit_paradoxes,
@@ -109,14 +109,13 @@ def _implies_one(a_text: str, b_text: str, override: Optional[Universe]) -> _Out
     a, b = parse(a_text), parse(b_text)
     u = _pick_universe(override, a, b)
     report = criteria_report(a, b, u)
-    witness = equivalent(And(a, b), a, Mode.RELATIONAL, u).witness
     extra = [
         f"and_absorb: {str(report.and_absorb).lower()}",
         f"conj_bottom: {str(report.conj_bottom).lower()}",
         f"disj_top: {str(report.disj_top).lower()}",
     ]
-    if witness is not None:
-        extra.append(f"witness: {_assignment_text(witness)}")
+    if report.witness is not None:
+        extra.append(f"witness: {_assignment_text(report.witness)}")
     return _Outcome(
         HOLDS if report.holds else FAILS,
         "holds" if report.holds else "fails",
@@ -130,7 +129,7 @@ def _implies_one(a_text: str, b_text: str, override: Optional[Universe]) -> _Out
                 "agree": report.agree,
             },
         },
-        witness=_witness_json(witness),
+        witness=_witness_json(report.witness),
         universe=u,
     )
 

@@ -95,19 +95,19 @@ class _Token:
     offset: int  # UTF-8 byte offset into the source
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
+    # offset is the UTF-8 byte offset of text[mark], advanced by encoding only
+    # the text since the previous token, so tokenizing stays linear.
+    mark = offset = 0
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
-        offset = _byte_offset(text, pos)
+        offset += len(text[mark:pos].encode("utf-8"))
+        mark = pos
         if ch == "-":
             if text.startswith("->", pos):
                 tokens.append(_Token("IMP", "->", offset))
@@ -134,7 +134,7 @@ def _tokenize(text: str) -> list[_Token]:
             pos = word.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", offset)
-    tokens.append(_Token("EOF", "", _byte_offset(text, len(text))))
+    tokens.append(_Token("EOF", "", offset + len(text[mark:].encode("utf-8"))))
     return tokens
 
 

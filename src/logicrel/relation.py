@@ -28,12 +28,15 @@ class CriteriaReport:
     and_absorb:  first & second  =  first
     conj_bottom: first & ~second is a contradiction
     disj_top:    ~first | second is a tautology
+
+    witness is the lowest row where first & second and first differ, if any.
     """
 
     and_absorb: bool
     conj_bottom: bool
     disj_top: bool
     agree: bool
+    witness: Optional[Interpretation] = None
 
     @property
     def holds(self) -> bool:
@@ -94,11 +97,11 @@ def criteria_report(a: Formula, b: Formula, u: Optional[Universe] = None) -> Cri
     """Evaluate all three criteria separately and report whether they agree."""
     if u is None:
         u = default_universe(a, b)
-    and_absorb = equivalent(And(a, b), a, Mode.RELATIONAL, u).holds
+    absorb = equivalent(And(a, b), a, Mode.RELATIONAL, u)
     conj_bottom = is_contradiction(And(a, Not(b)), Mode.RELATIONAL, u).holds
     disj_top = is_tautology(Or(Not(a), b), Mode.RELATIONAL, u).holds
-    agree = and_absorb == conj_bottom == disj_top
-    return CriteriaReport(and_absorb, conj_bottom, disj_top, agree)
+    agree = absorb.holds == conj_bottom == disj_top
+    return CriteriaReport(absorb.holds, conj_bottom, disj_top, agree, absorb.witness)
 
 
 def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> RelationClass:

@@ -18,6 +18,7 @@ row i assigns letter k true iff bit k of i is set.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -124,12 +125,24 @@ class TruthTable:
         return "\n".join(lines)
 
 
-def _letter_pattern(k: int, n_rows: int) -> int:
-    # Rows where bit k is set: blocks of 2^k ones starting at 2^k, period 2^(k+1).
-    block = ((1 << (1 << k)) - 1) << (1 << k)
-    period = 1 << (k + 1)
-    replicate = ((1 << n_rows) - 1) // ((1 << period) - 1)
-    return block * replicate
+@functools.lru_cache(maxsize=1)
+def _letter_patterns(n_letters: int) -> tuple[int, ...]:
+    """Row pattern of each letter of an n_letters universe: bit i of pattern k is bit k of i.
+
+    Pattern k is a block of 2^k ones at offset 2^k, OR-ed with itself shifted
+    by its current width until it covers all 2^n_letters rows.  The one cached
+    universe size holds n_letters * 2^n_letters bits (2.5 MiB at 20 letters).
+    """
+    n_rows = 1 << n_letters
+    patterns = []
+    for k in range(n_letters):
+        pattern = ((1 << (1 << k)) - 1) << (1 << k)
+        width = 1 << (k + 1)
+        while width < n_rows:
+            pattern |= pattern << width
+            width <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
 
 
 def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int, Optional[Formula]]:
@@ -144,15 +157,14 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
         raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
     if len(u) > max_letters():
         raise LimitError(f"universe has {len(u)} letters, limit is {max_letters()}")
-    n_rows = 1 << len(u)
-    mask = (1 << n_rows) - 1
+    mask = (1 << (1 << len(u))) - 1
     relational = m is Mode.RELATIONAL
     bits: list[int] = []
     built: list[Formula] = []
     for g in order:
         kind = type(g)
         if kind is Letter:
-            value = _letter_pattern(u.position(g.name), n_rows)
+            value = _letter_patterns(len(u))[u.position(g.name)]
         elif kind is Top:
             value = mask
         elif kind is Bottom:

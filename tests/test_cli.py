@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from logicrel import cli, equivalence, relation, semantics
 from logicrel.cli import run
 
 from cli_cases import CASES
@@ -81,3 +82,22 @@ def test_mode_material_vs_relational_default():
     mat = run(["classify", "p -> q", "--mode", "material"])
     assert rel[0] == 1 and "contradiction" in rel[1]
     assert mat[0] == 1 and "contingent" in mat[1]
+
+
+def test_implies_builds_four_tables(monkeypatch):
+    # criteria_report builds two tables for and_absorb and one per other
+    # criterion; the witness comes with the and_absorb verdict.
+    original = semantics.truth_table
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, equivalence, relation, semantics):
+        if getattr(module, "truth_table", None) is original:
+            monkeypatch.setattr(module, "truth_table", counting)
+    code, out, _ = run(["implies", "p & q", "p"])
+    assert code == 0
+    assert out.startswith("holds\n")
+    assert len(calls) == 4

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 
 from logicrel.errors import LimitError, ParseError
 from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM
-from logicrel.parser import SyntaxStyle, parse, render
+from logicrel.parser import SyntaxStyle, _tokenize, parse, render
 
 from strategies import formulas
 
@@ -89,6 +91,52 @@ class TestParseErrors:
         parse("p & q")
         with pytest.raises(LimitError):
             parse("p & q & r")
+
+
+_TOKEN_TEXTS = (
+    "->", "→", "|", "∨", "&", "∧", "~", "¬", "T", "⊤", "F", "⊥", "(", ")",
+    "p", "q2", "x_long_name",
+)
+_SPACES = (" ", "\t", "\u00a0", "\u3000")  # 1, 1, 2 and 3 UTF-8 bytes
+_BAD_TEXTS = ("$", "-", "Xy", "é")  # each stops the tokenizer
+
+
+def _mixed_source(rng, n_tokens):
+    """Token texts joined by 1-3 mixed-width spaces, with each token's char position."""
+    parts, positions, pos = [], [], 0
+    for _ in range(n_tokens):
+        gap = "".join(rng.choice(_SPACES) for _ in range(rng.randint(1, 3)))
+        token = rng.choice(_TOKEN_TEXTS)
+        parts += [gap, token]
+        positions.append(pos + len(gap))
+        pos += len(gap) + len(token)
+    return "".join(parts), positions
+
+
+def _utf8_offset(text, pos):
+    return len(text[:pos].encode("utf-8"))
+
+
+class TestByteOffsets:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_token_offsets_are_utf8_bytes(self, seed):
+        rng = random.Random(seed)
+        text, positions = _mixed_source(rng, rng.randint(1, 300))
+        tokens = _tokenize(text)
+        assert [t.text for t in tokens[:-1]] == [text[p:p + len(t.text)] for p, t in zip(positions, tokens)]
+        assert [t.offset for t in tokens[:-1]] == [_utf8_offset(text, p) for p in positions]
+        assert tokens[-1].kind == "EOF"
+        assert tokens[-1].offset == len(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_error_offsets_are_utf8_bytes(self, seed):
+        rng = random.Random(seed)
+        text, positions = _mixed_source(rng, rng.randint(1, 300))
+        cut = rng.choice(positions + [len(text)])
+        text = text[:cut] + " " + rng.choice(_BAD_TEXTS) + " " + text[cut:]
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == _utf8_offset(text, cut + 1)
 
 
 class TestRender:

@@ -49,10 +49,13 @@ class TestCriteriaReport:
     def test_meet_all_true(self):
         r = criteria_report(parse("p & q"), parse("p"))
         assert (r.and_absorb, r.conj_bottom, r.disj_top, r.agree) == (True, True, True, True)
+        assert r.witness is None
 
     def test_unrelated_all_false(self):
         r = criteria_report(parse("p"), parse("q"))
         assert (r.and_absorb, r.conj_bottom, r.disj_top, r.agree) == (False, False, False, True)
+        assert r.witness == equivalent(parse("p & q"), parse("p"), Mode.RELATIONAL).witness
+        assert r.witness.as_dict() == {"p": True, "q": False}
 
     def test_top_consequent_all_true(self):
         r = criteria_report(parse("p"), parse("T"))
