@@ -1,14 +1,14 @@
 """Formula AST and universe of letters.
 
 Formulas are immutable trees over the connectives {T, F, ~, &, |, ->}.
-Structural equality (dataclass ``==``) is decidable syntax identity and is
-distinct from logical equivalence, which lives in the equivalence module.
+Structural equality (``==``) is decidable syntax identity and is distinct
+from logical equivalence, which lives in the equivalence module.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator, Union
 
@@ -18,8 +18,49 @@ from .limits import max_letters
 LETTER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Letter:
+class _Node:
+    """Structural ==, hash() and repr() as folds over subformulas_bottom_up.
+
+    The dataclass versions recurse through the fields, so they fail on formulas
+    nested deeper than Python's recursion limit.  The post-order of (kind,
+    letter name) pairs fixes the tree, since each kind fixes its child count.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(
+            (type(g), g.name if type(g) is Letter else None) for g in subformulas_bottom_up(self)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        """The dataclass text, e.g. Not(child=Letter(name='p'))."""
+        texts: list[str] = []
+        for g in subformulas_bottom_up(self):
+            names = [field.name for field in fields(g)]
+            if type(g) is Letter:
+                values = [repr(g.name)]
+            else:
+                values = texts[len(texts) - len(names):]
+                del texts[len(texts) - len(names):]
+            # One join per node: each child's text is copied once, into its parent's.
+            pieces = [type(g).__qualname__, "("]
+            for k, (name, value) in enumerate(zip(names, values)):
+                pieces += [", " if k else "", name, "=", value]
+            texts.append("".join(pieces + [")"]))
+        return texts[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Letter(_Node):
     name: str
 
     def __post_init__(self) -> None:
@@ -27,35 +68,35 @@ class Letter:
             raise ValueError(f"invalid letter name {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(frozen=True, eq=False, repr=False)
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bottom:
+@dataclass(frozen=True, eq=False, repr=False)
+class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Imp:
+@dataclass(frozen=True, eq=False, repr=False)
+class Imp(_Node):
     antecedent: "Formula"
     consequent: "Formula"
 

@@ -164,11 +164,16 @@ class _Parser:
         return ParseError(f"unexpected {what}", tok.offset, expected)
 
     def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "IMP":
+        # A loop, not a call per IMP, so a flat chain does not nest Python
+        # calls; folding from the right makes -> right-associative.
+        operands = [self.disjunction()]
+        while self.peek().kind == "IMP":
             self.advance()
-            return Imp(left, self.imp())
-        return left
+            operands.append(self.disjunction())
+        f = operands.pop()
+        while operands:
+            f = Imp(operands.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         left = self.conjunction()

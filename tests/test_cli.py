@@ -1,10 +1,12 @@
 import io
 import json
+import re
+import sys
 
 import pytest
 
 from logicrel import cli, equivalence, relation, semantics
-from logicrel.cli import run
+from logicrel.cli import main, run
 
 from cli_cases import CASES
 
@@ -101,3 +103,47 @@ def test_implies_builds_four_tables(monkeypatch):
     assert code == 0
     assert out.startswith("holds\n")
     assert len(calls) == 4
+
+
+# The CLI surface, written out: operands as --help lists them, and the flags
+# each subcommand takes.  Only the usage line is read; help wording differs
+# across Python versions.
+SURFACE = {
+    "classify": (["formula"], {"--json", "--universe", "--mode", "--corpus"}),
+    "implies": (["first", "second"], {"--json", "--universe", "--corpus"}),
+    "equiv": (["first", "second"], {"--json", "--universe", "--mode", "--corpus"}),
+    "entails": (["first", "second"], {"--json", "--universe", "--mode", "--corpus"}),
+    "relate": (["first", "second"], {"--json", "--universe", "--corpus"}),
+    "table": (["formula"], {"--json", "--universe", "--mode"}),
+    "audit": (["first", "second"], {"--json", "--universe"}),
+    "lattice": (["n"], {"--dot", "--json"}),
+}
+FLAGS = {"--json", "--universe", "--mode", "--corpus", "--dot"}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_subcommand_surface(command):
+    operands, flags = SURFACE[command]
+    code, out, err = run([command, "--help"])
+    assert (code, err) == (0, "")
+    usage = " ".join(out.split("\n\n")[0].split())
+    assert usage.startswith(f"usage: logicrel {command} ")
+    assert {flag for flag in FLAGS if f"[{flag}" in usage} == flags
+    bare = re.sub(r"\[-[^\]]*\]", "", usage.removeprefix(f"usage: logicrel {command} "))
+    assert [word.strip("[]") for word in bare.split()] == operands
+
+
+def test_table_without_formula_is_usage_error():
+    code, out, err = run(["table"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:")
+
+
+def test_main_exits_with_run_code_and_writes_its_output(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["logicrel", "classify", "p & q", "--mode", "material"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == run(["classify", "p & q", "--mode", "material"])[1:]
+    assert captured.out.startswith("contingent\n")

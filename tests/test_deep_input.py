@@ -1,8 +1,7 @@
 """Deep and long inputs: every walk is iterative, and parse depth is an explicit limit.
 
 Formulas here are built directly, thousands of levels deep, far past Python's
-recursion limit.  They are checked through render and counts, never with ==
-or hash(), which recurse through the frozen dataclasses.
+recursion limit, or parsed from flat chains thousands of terms long.
 """
 
 import io
@@ -130,3 +129,36 @@ def test_deep_corpus_line_is_one_error_record():
     assert records[0]["result"]["label"] == "contingent"
     assert records[1]["error"] == f"formula nests deeper than {MAX_NESTING} levels"
     assert records[2]["result"]["label"] == "contradiction"
+
+
+IMP_CHAIN = " -> ".join(["p"] * DEPTH)
+
+
+def test_flat_implication_chain_answers_through_run():
+    # p -> (p -> ... -> (p -> p)): the innermost p -> p is T, and p -> T is T.
+    assert run(["classify", IMP_CHAIN]) == (0, "tautology\n", "")
+    assert run(["table", IMP_CHAIN, "--mode", "material"]) == (0, "p\n0 : 1\n1 : 1\n", "")
+    code, out, err = run(["implies", IMP_CHAIN, "p"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "fails"
+    code, out, err = run(["audit", IMP_CHAIN, "p"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 9
+
+
+def test_flat_implication_chain_in_corpus_is_one_record():
+    stdin = io.StringIO(f"p | q\n{IMP_CHAIN}\np & ~p\n")
+    code, out, _ = run(["classify", "--corpus", "-", "--json"], stdin)
+    assert code == 1
+    records = json.loads(out)["result"]
+    assert [r["result"]["label"] for r in records] == ["contingent", "tautology", "contradiction"]
+
+
+def test_long_chains_compare_hash_and_print():
+    f, g = (parse(" & ".join(["p"] * 20000)) for _ in range(2))
+    shorter = parse(" & ".join(["p"] * 19999))
+    assert f == g and f is not g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert f != shorter
+    assert repr(f).count("Letter(name='p')") == 20000

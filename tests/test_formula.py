@@ -15,7 +15,7 @@ from logicrel.formula import (
     max_imp_depth,
     subformulas_bottom_up,
 )
-from logicrel.parser import parse
+from logicrel.parser import parse, render
 
 from strategies import formulas, node_count
 
@@ -53,6 +53,14 @@ def test_structural_equality_is_syntactic():
     assert parse("p | q") == Or(P, Q)
     assert parse("p | q") != parse("q | p")
     assert TOP == TOP and BOTTOM != TOP
+    assert And(P, Q) != Or(P, Q) and Not(P) != P and P != "p"
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(parse("~p & T -> q | F")) == (
+        "Imp(antecedent=And(left=Not(child=Letter(name='p')), right=Top()), "
+        "consequent=Or(left=Letter(name='q'), right=Bottom()))"
+    )
 
 
 def test_letter_name_validation():
@@ -112,3 +120,10 @@ def test_formulas_hash_and_compare(f):
     assert f == f
     assert hash(f) == hash(f)
     assert And(f, f) == And(f, f)
+
+
+@given(formulas(), formulas())
+def test_equal_iff_same_rendering(f, g):
+    assert (f == g) == (render(f) == render(g))
+    if f == g:
+        assert hash(f) == hash(g)
