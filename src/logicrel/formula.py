@@ -43,20 +43,19 @@ class _Node:
 
     def __repr__(self) -> str:
         """The dataclass text, e.g. Not(child=Letter(name='p'))."""
-        texts: list[str] = []
+        ropes: list[list] = []  # one per finished subformula, see join_rope
         for g in subformulas_bottom_up(self):
             names = [field.name for field in fields(g)]
             if type(g) is Letter:
                 values = [repr(g.name)]
             else:
-                values = texts[len(texts) - len(names):]
-                del texts[len(texts) - len(names):]
-            # One join per node: each child's text is copied once, into its parent's.
-            pieces = [type(g).__qualname__, "("]
+                values = ropes[len(ropes) - len(names):]
+                del ropes[len(ropes) - len(names):]
+            rope = [type(g).__qualname__, "("]
             for k, (name, value) in enumerate(zip(names, values)):
-                pieces += [", " if k else "", name, "=", value]
-            texts.append("".join(pieces + [")"]))
-        return texts[0]
+                rope += [", " if k else "", name, "=", value]
+            ropes.append(rope + [")"])
+        return join_rope(ropes[0])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -105,6 +104,25 @@ Formula = Union[Letter, Top, Bottom, Not, And, Or, Imp]
 
 TOP = Top()
 BOTTOM = Bottom()
+
+
+def join_rope(rope: "str | list") -> str:
+    """Concatenate a rope: a string, or a list of ropes, read left to right.
+
+    A fold that builds each node's text from its children's ropes copies no
+    text, and this one join writes each character once, so printing a long
+    chain takes linear time, where concatenating per node would be quadratic.
+    """
+    pieces: list[str] = []
+    todo = [rope]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            pieces.append(item)
+        else:
+            todo += item
+    pieces.reverse()  # popping read the rope right to left
+    return "".join(pieces)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

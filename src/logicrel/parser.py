@@ -15,14 +15,20 @@ IMP = `->` | `→`, OR = `|` | `∨`, AND = `&` | `∧`, NOT = `~` | `¬`,
 TOP = `T` | `⊤`, BOTTOM = `F` | `⊥`.  Letters are lowercase-initial
 identifiers, so the uppercase constant tokens stay unambiguous.
 
-Nesting is bounded: each "(" and each negation opens one level, and a formula
-nested deeper than MAX_NESTING levels is refused with a LimitError.
+Parsing is one scan of the whole text by a compiled regular expression, then
+one operator-precedence loop over the tokens with an operand stack and an
+operator stack; neither recurses, so time is linear in the input length.  A
+ParseError reports the UTF-8 byte offset of the offending token, worked out
+only when the error is raised.
+
+Nesting depth is part of the input contract, not a guard for the Python
+stack: each "(" and each negation opens one level, and a formula nested
+deeper than MAX_NESTING levels is refused with a LimitError (exit code 3).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LimitError, ParseError
@@ -37,7 +43,7 @@ from .formula import (
     Not,
     Or,
     Top,
-    letters,
+    join_rope,
     subformulas_bottom_up,
 )
 from .limits import max_letters
@@ -48,22 +54,14 @@ class SyntaxStyle(Enum):
     UNICODE = "unicode"
 
 
-_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_LETTER_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-_SINGLE_GLYPHS = {
-    "→": "IMP",
-    "∨": "OR",
-    "|": "OR",
-    "∧": "AND",
-    "&": "AND",
-    "¬": "NOT",
-    "~": "NOT",
-    "⊤": "TOP",
-    "⊥": "BOTTOM",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
+# One alternation, matched in C: the group that matched names the token kind,
+# and the whitespace after a token is matched with it.  Every character but
+# whitespace starts some group; STRAY, WORD and CHAR are the kinds of bad input.
+_SCAN = re.compile(
+    r"(?:(?P<IMP>->|→)|(?P<OR>[|∨])|(?P<AND>[&∧])|(?P<NOT>[~¬])|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<LETTER>[a-z][A-Za-z0-9_]*)|(?P<TOP>T(?![A-Za-z0-9_])|⊤)|(?P<BOTTOM>F(?![A-Za-z0-9_])|⊥)"
+    r"|(?P<STRAY>-)|(?P<WORD>[A-Z][A-Za-z0-9_]*)|(?P<CHAR>\S))\s*"
+)
 
 # Canonical spellings used in expected-token sets of parse errors.
 _SPELLING = {
@@ -79,174 +77,150 @@ _SPELLING = {
     "EOF": "end of input",
 }
 
-_ATOM_STARTERS = frozenset(
-    _SPELLING[k] for k in ("NOT", "TOP", "BOTTOM", "LPAREN", "LETTER")
-)
 
-# Each "(" and each negation opens one level; the recursive descent below
-# stays well inside Python's recursion limit up to this depth.
+def _expecting(*kinds: str) -> frozenset[str]:
+    return frozenset(_SPELLING[k] for k in kinds)
+
+
+_ATOM_STARTERS = _expecting("NOT", "TOP", "BOTTOM", "LPAREN", "LETTER")
+_AFTER_OPERAND = {  # keyed by whether a "(" is open
+    True: _expecting("RPAREN", "IMP", "OR", "AND"),
+    False: _expecting("IMP", "OR", "AND", "EOF"),
+}
+
+# The documented depth contract: each "(" and each negation opens one level,
+# and a formula nested deeper than this is refused with a LimitError (exit 3).
+# The parser itself has no depth bound; the limit is part of the CLI contract.
 MAX_NESTING = 100
 
+# Binding strength.  The parser's operator stack holds these, with 0 for an
+# open "(", and render compares them to place parentheses.
+_PREC_ATOM = 5
+_PREC_NOT = 4
+_PREC_AND = 3
+_PREC_OR = 2
+_PREC_IMP = 1
+_STRENGTH = {"IMP": _PREC_IMP, "OR": _PREC_OR, "AND": _PREC_AND}
+_BUILD = {_PREC_IMP: Imp, _PREC_OR: Or, _PREC_AND: And}
+_CONSTANT = {"TOP": TOP, "BOTTOM": BOTTOM}
+_BAD = {  # message and expected set of each kind of bad input
+    "STRAY": ("stray {!r}", _expecting("IMP")),
+    "WORD": ("invalid letter name {!r} (letters start lowercase)", frozenset()),
+    "CHAR": ("unexpected character {!r}", frozenset()),
+}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int  # UTF-8 byte offset into the source
+Token = tuple[str, str, int]  # (kind, text, char position)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    # offset is the UTF-8 byte offset of text[mark], advanced by encoding only
-    # the text since the previous token, so tokenizing stays linear.
-    mark = offset = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        offset += len(text[mark:pos].encode("utf-8"))
-        mark = pos
-        if ch == "-":
-            if text.startswith("->", pos):
-                tokens.append(_Token("IMP", "->", offset))
-                pos += 2
-                continue
-            raise ParseError(f"stray {ch!r}", offset, frozenset({_SPELLING['IMP']}))
-        if ch in _SINGLE_GLYPHS:
-            tokens.append(_Token(_SINGLE_GLYPHS[ch], ch, offset))
-            pos += 1
-            continue
-        word = _WORD.match(text, pos)
-        if word:
-            name = word.group()
-            if name == "T":
-                tokens.append(_Token("TOP", name, offset))
-            elif name == "F":
-                tokens.append(_Token("BOTTOM", name, offset))
-            elif _LETTER_WORD.match(name):
-                tokens.append(_Token("LETTER", name, offset))
-            else:
-                raise ParseError(
-                    f"invalid letter name {name!r} (letters start lowercase)", offset
-                )
-            pos = word.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", offset)
-    tokens.append(_Token("EOF", "", offset + len(text[mark:].encode("utf-8"))))
+def _scan(text: str) -> list[Token]:
+    """Every token of text, then ("EOF", "", len(text)); bad input is a token too."""
+    # finditer skips the whitespace before the first token.
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start()) for m in _SCAN.finditer(text)]
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
+def _offset(text: str, pos: int) -> int:
+    """UTF-8 byte offset of the character at pos; computed only for an error."""
+    return len(text[:pos].encode("utf-8"))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _bad_input(text: str, tokens: list[Token], i: int) -> ParseError | None:
+    """The error of the first bad token at or after tokens[i], if there is one.
 
-    def open_level(self) -> None:
-        self.advance()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise LimitError(f"formula nests deeper than {MAX_NESTING} levels")
+    The parser has read every token before i, so this is the first bad token of
+    the whole input.  Bad input anywhere is reported before a parse or nesting
+    error, so this wins over the error found at i.
+    """
+    for kind, word, pos in tokens[i:]:
+        if kind in _BAD:
+            message, expected = _BAD[kind]
+            return ParseError(message.format(word), _offset(text, pos), expected)
+    return None
 
-    def fail(self, expected: frozenset[str]) -> ParseError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
-        return ParseError(f"unexpected {what}", tok.offset, expected)
 
-    def imp(self) -> Formula:
-        # A loop, not a call per IMP, so a flat chain does not nest Python
-        # calls; folding from the right makes -> right-associative.
-        operands = [self.disjunction()]
-        while self.peek().kind == "IMP":
-            self.advance()
-            operands.append(self.disjunction())
-        f = operands.pop()
-        while operands:
-            f = Imp(operands.pop(), f)
-        return f
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().kind == "OR":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.peek().kind == "AND":
-            self.advance()
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.peek().kind == "NOT":
-            self.open_level()
-            inner = self.negation()
-            self.depth -= 1
-            return Not(inner)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LETTER":
-            self.advance()
-            return Letter(tok.text)
-        if tok.kind == "TOP":
-            self.advance()
-            return TOP
-        if tok.kind == "BOTTOM":
-            self.advance()
-            return BOTTOM
-        if tok.kind == "LPAREN":
-            self.open_level()
-            inner = self.imp()
-            if self.peek().kind != "RPAREN":
-                raise self.fail(
-                    frozenset({_SPELLING[k] for k in ("RPAREN", "IMP", "OR", "AND")})
-                )
-            self.advance()
-            self.depth -= 1
-            return inner
-        raise self.fail(_ATOM_STARTERS)
+def _unexpected(text: str, tokens: list[Token], i: int, expected: frozenset[str]) -> ParseError:
+    kind, word, pos = tokens[i]
+    what = "end of input" if kind == "EOF" else f"{word!r}"
+    return _bad_input(text, tokens, i) or ParseError(
+        f"unexpected {what}", _offset(text, pos), expected
+    )
 
 
 def parse(text: str) -> Formula:
-    """Parse per the module grammar; whitespace between tokens is ignored."""
-    parser = _Parser(_tokenize(text))
-    f = parser.imp()
-    if parser.peek().kind != "EOF":
-        raise parser.fail(
-            frozenset({_SPELLING[k] for k in ("IMP", "OR", "AND", "EOF")})
-        )
-    used = len(letters(f))
-    if used > max_letters():
-        raise LimitError(f"formula uses {used} distinct letters, limit is {max_letters()}")
-    return f
+    """Parse per the module grammar; whitespace between tokens is ignored.
+
+    One operator-precedence loop over the scanned tokens, with an operand
+    stack and an operator stack, so nothing here recurses.
+    """
+    tokens = _scan(text)
+    names: dict[str, Letter] = {}  # one Letter per distinct name
+    operands: list[Formula] = []  # left operand of each binary connective on ops
+    ops: list[int] = []  # 0 for "(", else the binding strength of ~ or a connective
+    depth = 0  # "(" and negations on ops
+    i = 0
+    while True:
+        # Expecting an operand: prefix openers, then an atom.
+        kind, word, _ = tokens[i]
+        while kind == "NOT" or kind == "LPAREN":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _bad_input(text, tokens, i) or LimitError(
+                    f"formula nests deeper than {MAX_NESTING} levels"
+                )
+            ops.append(_PREC_NOT if kind == "NOT" else 0)
+            i += 1
+            kind, word, _ = tokens[i]
+        if kind == "LETTER":
+            f = names.get(word)
+            if f is None:
+                f = names[word] = Letter(word)
+        elif kind in _CONSTANT:
+            f = _CONSTANT[kind]
+        else:
+            raise _unexpected(text, tokens, i, _ATOM_STARTERS)
+        i += 1
+        # Expecting an operator: close negations and groups, then a connective.
+        while True:
+            while ops and ops[-1] == _PREC_NOT:
+                ops.pop()
+                depth -= 1
+                f = Not(f)
+            # A negation left on ops sits under a "(", so depth > 0 now means a
+            # "(" is open, and only connectives lie above the innermost one.
+            kind = tokens[i][0]
+            strength = _STRENGTH.get(kind)
+            if strength:
+                # -> is right-associative: an open -> stays open for the next.
+                while ops and ops[-1] >= strength + (kind == "IMP"):
+                    f = _BUILD[ops.pop()](operands.pop(), f)
+                ops.append(strength)
+                operands.append(f)
+                i += 1
+                break
+            if kind == "RPAREN" and depth:
+                while ops[-1]:
+                    f = _BUILD[ops.pop()](operands.pop(), f)
+                ops.pop()
+                depth -= 1
+                i += 1
+            elif kind == "EOF" and not depth:
+                while ops:
+                    f = _BUILD[ops.pop()](operands.pop(), f)
+                used = len(names)
+                if used > max_letters():
+                    raise LimitError(
+                        f"formula uses {used} distinct letters, limit is {max_letters()}"
+                    )
+                return f
+            else:
+                raise _unexpected(text, tokens, i, _AFTER_OPERAND[depth > 0])
 
 
 _GLYPHS = {
     SyntaxStyle.ASCII: {"not": "~", "and": "&", "or": "|", "imp": "->", "top": "T", "bottom": "F"},
     SyntaxStyle.UNICODE: {"not": "¬", "and": "∧", "or": "∨", "imp": "→", "top": "⊤", "bottom": "⊥"},
 }
-
-# Binding strength; parenthesization in render compares these.
-_PREC_ATOM = 5
-_PREC_NOT = 4
-_PREC_AND = 3
-_PREC_OR = 2
-_PREC_IMP = 1
-
 
 # Glyph, binding strength, and the strength a left operand needs to go bare;
 # a right operand must always bind strictly tighter than its connective.
@@ -257,9 +231,9 @@ _BINARY = {
 }
 
 
-def _wrap(item: tuple[str, int], needs: int) -> str:
-    text, prec = item
-    return f"({text})" if prec < needs else text
+def _wrap(item: tuple[str | list, int], needs: int) -> str | list:
+    rope, prec = item
+    return ["(", rope, ")"] if prec < needs else rope
 
 
 def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
@@ -270,7 +244,7 @@ def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
     right-associativity.
     """
     g = _GLYPHS[style]
-    stack: list[tuple[str, int]] = []  # (text, binding strength) per rendered operand
+    stack: list[tuple[str | list, int]] = []  # (rope, binding strength) per rendered operand
     for node in subformulas_bottom_up(f):
         kind = type(node)
         if kind is Letter:
@@ -280,11 +254,11 @@ def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
         elif kind is Bottom:
             stack.append((g["bottom"], _PREC_ATOM))
         elif kind is Not:
-            stack[-1] = (g["not"] + _wrap(stack[-1], _PREC_NOT), _PREC_NOT)
+            stack[-1] = ([g["not"], _wrap(stack[-1], _PREC_NOT)], _PREC_NOT)
         elif kind in _BINARY:
             glyph, prec, left_needs = _BINARY[kind]
             right = _wrap(stack.pop(), prec + 1)
-            stack[-1] = (f"{_wrap(stack[-1], left_needs)} {g[glyph]} {right}", prec)
+            stack[-1] = ([_wrap(stack[-1], left_needs), f" {g[glyph]} ", right], prec)
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return stack[0][0]
+    return join_rope(stack[0][0])

@@ -21,7 +21,7 @@ from logicrel.formula import (
     max_imp_depth,
     subformulas_bottom_up,
 )
-from logicrel.parser import MAX_NESTING, parse, render
+from logicrel.parser import MAX_NESTING, SyntaxStyle, parse, render
 from logicrel.semantics import (
     Interpretation,
     Mode,
@@ -162,3 +162,17 @@ def test_long_chains_compare_hash_and_print():
     assert len({f, g}) == 1
     assert f != shorter
     assert repr(f).count("Letter(name='p')") == 20000
+
+
+def test_long_chains_print_exactly():
+    # Left-deep & and right-deep -> chains, checked against text built here.
+    n = 20000
+    leaf = "Letter(name='p')"
+    conjunction = parse(" & ".join(["p"] * n))
+    assert repr(conjunction) == "And(left=" * (n - 1) + leaf + f", right={leaf})" * (n - 1)
+    assert render(conjunction) == " & ".join(["p"] * n)
+    implication = parse(" → ".join(["p"] * n))
+    opening = f"Imp(antecedent={leaf}, consequent="
+    assert repr(implication) == opening * (n - 1) + leaf + ")" * (n - 1)
+    assert render(implication) == "p -> (" * (n - 2) + "p -> p" + ")" * (n - 2)
+    assert render(implication, SyntaxStyle.UNICODE) == "p → (" * (n - 2) + "p → p" + ")" * (n - 2)

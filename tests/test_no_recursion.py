@@ -16,14 +16,8 @@ import logicrel
 SRC = Path(logicrel.__file__).parent
 GUARDED = sorted(path.name for path in SRC.glob("*.py"))
 
-# The only recursion allowed, each with the bound that keeps it shallow.
-_DESCENT = "recursive descent; each '(' and negation opens a level, bounded by parser.MAX_NESTING"
+# The only recursion allowed, with the bound that keeps it shallow.
 EXEMPT = {
-    "parser._Parser.imp": _DESCENT,
-    "parser._Parser.disjunction": _DESCENT,
-    "parser._Parser.conjunction": _DESCENT,
-    "parser._Parser.negation": _DESCENT,
-    "parser._Parser.atom": _DESCENT,
     "semantics.gen_random_formula.gen": "depth-bounded: each call spends one unit of the caller's budget",
 }
 

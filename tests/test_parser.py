@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 
 from logicrel.errors import LimitError, ParseError
-from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM
-from logicrel.parser import SyntaxStyle, _tokenize, parse, render
+from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe
+from logicrel.parser import SyntaxStyle, _offset, _scan, parse, render
+from logicrel.semantics import gen_random_formula
 
 from strategies import formulas
 
@@ -101,16 +103,22 @@ _SPACES = (" ", "\t", "\u00a0", "\u3000")  # 1, 1, 2 and 3 UTF-8 bytes
 _BAD_TEXTS = ("$", "-", "Xy", "é")  # each stops the tokenizer
 
 
+_KINDS = {
+    "->": "IMP", "→": "IMP", "|": "OR", "∨": "OR", "&": "AND", "∧": "AND", "~": "NOT", "¬": "NOT",
+    "T": "TOP", "⊤": "TOP", "F": "BOTTOM", "⊥": "BOTTOM", "(": "LPAREN", ")": "RPAREN",
+}
+
+
 def _mixed_source(rng, n_tokens):
-    """Token texts joined by 1-3 mixed-width spaces, with each token's char position."""
-    parts, positions, pos = [], [], 0
+    """Token texts joined by 1-3 mixed-width spaces, with each token's text and char position."""
+    parts, tokens, pos = [], [], 0
     for _ in range(n_tokens):
         gap = "".join(rng.choice(_SPACES) for _ in range(rng.randint(1, 3)))
         token = rng.choice(_TOKEN_TEXTS)
         parts += [gap, token]
-        positions.append(pos + len(gap))
+        tokens.append((token, pos + len(gap)))
         pos += len(gap) + len(token)
-    return "".join(parts), positions
+    return "".join(parts), tokens
 
 
 def _utf8_offset(text, pos):
@@ -118,25 +126,50 @@ def _utf8_offset(text, pos):
 
 
 class TestByteOffsets:
+    """Tokens carry char positions; an error turns its position into a UTF-8 byte offset."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_token_offsets_are_utf8_bytes(self, seed):
         rng = random.Random(seed)
-        text, positions = _mixed_source(rng, rng.randint(1, 300))
-        tokens = _tokenize(text)
-        assert [t.text for t in tokens[:-1]] == [text[p:p + len(t.text)] for p, t in zip(positions, tokens)]
-        assert [t.offset for t in tokens[:-1]] == [_utf8_offset(text, p) for p in positions]
-        assert tokens[-1].kind == "EOF"
-        assert tokens[-1].offset == len(text.encode("utf-8"))
+        text, expected = _mixed_source(rng, rng.randint(1, 300))
+        tokens = _scan(text)
+        assert tokens[:-1] == [(_KINDS.get(token, "LETTER"), token, pos) for token, pos in expected]
+        assert tokens[-1] == ("EOF", "", len(text))
+        assert [_offset(text, pos) for _, _, pos in tokens] == [
+            _utf8_offset(text, pos) for _, pos in expected
+        ] + [len(text.encode("utf-8"))]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_error_offsets_are_utf8_bytes(self, seed):
         rng = random.Random(seed)
-        text, positions = _mixed_source(rng, rng.randint(1, 300))
-        cut = rng.choice(positions + [len(text)])
+        text, tokens = _mixed_source(rng, rng.randint(1, 300))
+        cut = rng.choice([pos for _, pos in tokens] + [len(text)])
         text = text[:cut] + " " + rng.choice(_BAD_TEXTS) + " " + text[cut:]
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.offset == _utf8_offset(text, cut + 1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_parser_error_offsets_are_utf8_bytes(self, seed):
+        # Errors the parser raises, not the scanner: a valid formula spelled with
+        # mixed-width spaces, cut short after an operator or followed by a letter.
+        rng = random.Random(seed)
+        f = gen_random_formula(6, Universe(("p", "q", "r")), seed)
+        text = "".join(
+            rng.choice(_SPACES) if ch == " " else ch
+            for ch in render(f, rng.choice(list(SyntaxStyle))) + " -> ~p"
+        )
+        operators = [m.end() for m in re.finditer("->|→|[|∨&∧~¬(]", text)]
+        cut = text[:rng.choice(operators)]
+        with pytest.raises(ParseError) as exc:
+            parse(cut)
+        assert str(exc.value).startswith("unexpected end of input at offset ")
+        assert exc.value.offset == len(cut.encode("utf-8"))
+        followed = text + " q"
+        with pytest.raises(ParseError) as exc:
+            parse(followed)
+        assert str(exc.value).startswith("unexpected 'q' at offset ")
+        assert exc.value.offset == _utf8_offset(followed, len(followed) - 1)
 
 
 class TestRender:
