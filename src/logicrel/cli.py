@@ -354,3 +354,7 @@ def main() -> None:
     sys.stdout.write(out)
     sys.stderr.write(err)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

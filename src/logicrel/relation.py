@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .equivalence import _lowest_row, default_universe, equivalent, is_contradiction, is_tautology
+from .equivalence import (
+    _lowest_row, _verdict, default_universe, equivalent, is_contradiction, is_tautology
+)
 from .errors import LimitError
 from .formula import And, Formula, Imp, Not, Or, Universe
 from .semantics import Interpretation, Mode, truth_table
@@ -164,10 +166,12 @@ def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> lis
     for schema in _SCHEMAS:
         f = paradox_formula(schema, a, b)
         material = is_tautology(f, Mode.MATERIAL, u)
-        relational = is_tautology(f, Mode.RELATIONAL, u)
-        if relational.holds:
+        # One relational table gives the status and the lowest false row.
+        t = truth_table(f, u, Mode.RELATIONAL)
+        relational = _verdict(u, t.mask & ~t.bits)
+        if t.is_all_true:
             status = "tautology"
-        elif is_contradiction(f, Mode.RELATIONAL, u).holds:
+        elif t.is_all_false:
             status = "contradiction"
         else:
             status = "contingent"
@@ -193,7 +197,7 @@ def le(x: int, y: int) -> bool:
     return x & y == x
 
 
-def verify_lattice(n: int, sample_seed: int = _SAMPLE_SEED) -> LatticeReport:
+def verify_lattice(n: int) -> LatticeReport:
     """Check that the relation partially orders all 2^(2^n) truth-table classes
     into a bounded lattice with & as meet and | as join.
 
@@ -242,7 +246,7 @@ def verify_lattice(n: int, sample_seed: int = _SAMPLE_SEED) -> LatticeReport:
                 if up[x | y] != up[x] & up[y]:
                     failures.append(("join", (x, y)))
     else:
-        rng = random.Random(sample_seed)
+        rng = random.Random(_SAMPLE_SEED)
         for _ in range(_SAMPLED_CHECKS):
             x = rng.randrange(count)
             y = rng.randrange(count)
@@ -283,10 +287,7 @@ def hasse_edges(n: int) -> list[tuple[int, int]]:
 def proof_case_preconditions(a: Formula, b: Formula, u: Optional[Universe] = None) -> bool:
     """The side conditions under which all three paradox schemas demonstrably fail:
     neither operand is a contradiction or tautology, and their conjunction is one.
+    That is exactly a disjoint relation with no degenerate flag.
     """
-    if u is None:
-        u = default_universe(a, b)
-    ta = truth_table(a, u, Mode.RELATIONAL)
-    tb = truth_table(b, u, Mode.RELATIONAL)
-    nontrivial = not (ta.is_all_false or ta.is_all_true or tb.is_all_false or tb.is_all_true)
-    return nontrivial and (ta.bits & tb.bits) == 0
+    rc = classify_relation(a, b, u)
+    return rc.kind is RelationKind.DISJOINT and not rc.degenerate

@@ -2,13 +2,17 @@
 
 Each case pins argv, optional stdin, optional env, the exit code, the exact
 stdout (stored under tests/golden/), and the exact stderr (inline: error
-output is short).
+output is short).  run_case runs one case; every runner of cases calls it.
 """
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from logicrel.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -25,6 +29,21 @@ class CliCase:
     @property
     def stdout_file(self) -> Path:
         return GOLDEN_DIR / f"{self.name}.out"
+
+
+def run_case(case: CliCase) -> tuple[int, str, str]:
+    """Run one case in process with its env and stdin; the environment is restored after."""
+    saved = {key: os.environ.get(key) for key in case.env}
+    os.environ.update(case.env)
+    try:
+        stdin = io.StringIO(case.stdin) if case.stdin is not None else None
+        return run(list(case.argv), stdin)
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 _CORPUS_FORMULAS = str(GOLDEN_DIR / "corpus_formulas.txt")

@@ -4,13 +4,10 @@ Each criterion prints a single PASS/FAIL line (visible with `pytest -s`).
 The random sweeps are fully seeded, so every run checks the same corpus.
 """
 
-import io
-import os
 import random
 import time
 from contextlib import contextmanager
 
-from logicrel.cli import run
 from logicrel.equivalence import entails, equivalent, is_tautology
 from logicrel.formula import Imp, Letter, Universe
 from logicrel.parser import SyntaxStyle, parse, render
@@ -23,7 +20,7 @@ from logicrel.semantics import (
     truth_table,
 )
 
-from cli_cases import CASES
+from cli_cases import CASES, run_case
 from oracle import assignments, oracle_eval
 from strategies import gen_imp_free
 
@@ -138,17 +135,7 @@ def test_criterion_8_modes_agree_on_implication_free_formulas():
 def test_criterion_9_cli_contract_is_bit_exact():
     with criterion(9, "CLI golden outputs and exit codes"):
         for case in CASES:
-            saved = {k: os.environ.get(k) for k in case.env}
-            os.environ.update(case.env)
-            try:
-                stdin = io.StringIO(case.stdin) if case.stdin is not None else None
-                code, out, err = run(list(case.argv), stdin)
-            finally:
-                for k, v in saved.items():
-                    if v is None:
-                        os.environ.pop(k, None)
-                    else:
-                        os.environ[k] = v
+            code, out, err = run_case(case)
             assert code == case.code, case.name
             assert err == case.stderr, case.name
             assert out == case.stdout_file.read_text(encoding="utf-8"), case.name

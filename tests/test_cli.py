@@ -1,22 +1,25 @@
-import io
 import json
+import os
 import re
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from logicrel import cli, equivalence, relation, semantics
 from logicrel.cli import main, run
+from logicrel.limits import max_letters
 
-from cli_cases import CASES
+from cli_cases import CASES, run_case
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_golden(case, monkeypatch):
-    for key, value in case.env.items():
-        monkeypatch.setenv(key, value)
-    stdin = io.StringIO(case.stdin) if case.stdin is not None else None
-    code, out, err = run(list(case.argv), stdin)
+def test_golden(case):
+    code, out, err = run_case(case)
     assert code == case.code
     assert err == case.stderr
     assert out == case.stdout_file.read_text(encoding="utf-8")
@@ -86,9 +89,8 @@ def test_mode_material_vs_relational_default():
     assert mat[0] == 1 and "contingent" in mat[1]
 
 
-def test_implies_builds_four_tables(monkeypatch):
-    # criteria_report builds two tables for and_absorb and one per other
-    # criterion; the witness comes with the and_absorb verdict.
+def _tables_built(monkeypatch, argv: list[str]) -> tuple[int, str, int]:
+    """Run argv, counting truth tables built: (exit code, stdout, table count)."""
     original = semantics.truth_table
     calls = []
 
@@ -99,10 +101,26 @@ def test_implies_builds_four_tables(monkeypatch):
     for module in (cli, equivalence, relation, semantics):
         if getattr(module, "truth_table", None) is original:
             monkeypatch.setattr(module, "truth_table", counting)
-    code, out, _ = run(["implies", "p & q", "p"])
+    code, out, _ = run(argv)
+    return code, out, len(calls)
+
+
+def test_implies_builds_four_tables(monkeypatch):
+    # criteria_report builds two tables for and_absorb and one per other
+    # criterion; the witness comes with the and_absorb verdict.
+    code, out, tables = _tables_built(monkeypatch, ["implies", "p & q", "p"])
     assert code == 0
     assert out.startswith("holds\n")
-    assert len(calls) == 4
+    assert tables == 4
+
+
+def test_audit_builds_six_tables(monkeypatch):
+    # One material and one relational table per schema; the relational one
+    # gives the status and the witness.
+    code, out, tables = _tables_built(monkeypatch, ["audit", "p", "q"])
+    assert code == 0
+    assert out.startswith("P1 ")
+    assert tables == 6
 
 
 # The CLI surface, written out: operands as --help lists them, and the flags
@@ -147,3 +165,54 @@ def test_main_exits_with_run_code_and_writes_its_output(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == run(["classify", "p & q", "--mode", "material"])[1:]
     assert captured.out.startswith("contingent\n")
+
+
+def test_readme_invocations():
+    # Every `logicrel` line of a README `sh` block runs as its comment says.
+    ran, in_sh = set(), False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        if not (in_sh and line.startswith("logicrel ")):
+            continue
+        command, _, comment = line.partition(" #")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(argv)
+        assert code in (0, 1) and err == "" and out, line
+        stated = re.search(r"\bexit (\d+)", comment)
+        if stated:
+            assert code == int(stated.group(1)), line
+        ran.add(" ".join(argv))
+    # "Experiments" shows every paradox audit, the failure-case preconditions
+    # and the lattice laws for n = 1..4.
+    pairs = ["p q", "p ~p", "p p", "p & q p"]
+    wanted = {f"audit {pair}" for pair in pairs} | {f"audit {pair} --json" for pair in pairs}
+    wanted |= {"relate p ~p"} | {f"lattice {n}" for n in range(1, 5)}
+    assert wanted <= ran
+
+
+@pytest.mark.parametrize(
+    "formula, code, out, err",
+    [("p q", 2, "", "parse error: "), ("p | ~p", 0, "tautology\n", "")],
+)
+def test_module_entry_point(formula, code, out, err):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "logicrel.cli", "classify", formula],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr.startswith(err) if err else proc.stderr == ""
+
+
+def test_letter_limit_setting_has_a_ceiling(monkeypatch):
+    def refuse(n_letters):
+        raise AssertionError(f"row patterns built for {n_letters} letters")
+
+    monkeypatch.setattr(semantics, "_letter_patterns", refuse)
+    monkeypatch.setenv("LOGICREL_MAX_LETTERS", "30")
+    assert run(["classify", "p"]) == (
+        3, "", "limit error: LOGICREL_MAX_LETTERS must be at most 24, got 30\n"
+    )
+    monkeypatch.setenv("LOGICREL_MAX_LETTERS", "24")
+    assert max_letters() == 24

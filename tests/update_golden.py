@@ -2,32 +2,19 @@
 
 Run after an intentional output-format change, then review the diff:
 
-    python tests/update_golden.py
+    PYTHONPATH=src python tests/update_golden.py
+
+CI runs it too and fails when it changes any golden file.
 """
 
 from __future__ import annotations
 
-import io
-import os
-
-from logicrel.cli import run
-
-from cli_cases import CASES
+from cli_cases import CASES, run_case
 
 
 def main() -> None:
     for case in CASES:
-        old_env = {k: os.environ.get(k) for k in case.env}
-        os.environ.update(case.env)
-        try:
-            stdin = io.StringIO(case.stdin) if case.stdin is not None else None
-            code, out, err = run(list(case.argv), stdin)
-        finally:
-            for k, v in old_env.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
+        code, out, err = run_case(case)
         if code != case.code or err != case.stderr:
             raise SystemExit(
                 f"{case.name}: exit/stderr drifted from the case table "
