@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional, TextIO
 
 from . import __version__
-from .equivalence import _lowest_row, default_universe, entails, equivalent
+from .equivalence import default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
 from .formula import Formula, Universe
 from .parser import parse, render
@@ -91,12 +91,11 @@ def _write(ns, out: io.StringIO, mode: str, universe: Optional[Universe], outcom
 
 def _classify(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
     t = truth_table(fs[0], u, mode)
-    if t.is_all_true:
-        return _Outcome(HOLDS, ["tautology"], {"label": "tautology"})
-    if t.is_all_false:
-        return _Outcome(FAILS, ["contradiction"], {"label": "contradiction"})
-    low_true = Interpretation.from_index(u, _lowest_row(t.bits))
-    low_false = Interpretation.from_index(u, _lowest_row(t.mask & ~t.bits))
+    status = t.status
+    if status != "contingent":
+        return _Outcome(HOLDS if status == "tautology" else FAILS, [status], {"label": status})
+    low_true = Interpretation.lowest(u, t.bits)
+    low_false = Interpretation.lowest(u, t.mask & ~t.bits)
     return _Outcome(
         FAILS,
         [

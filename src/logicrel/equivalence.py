@@ -23,14 +23,8 @@ class Verdict:
         return self.holds
 
 
-def _lowest_row(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
 def _verdict(u: Universe, refuting_bits: int) -> Verdict:
-    if refuting_bits == 0:
-        return Verdict(True)
-    return Verdict(False, Interpretation.from_index(u, _lowest_row(refuting_bits)))
+    return Verdict(not refuting_bits, Interpretation.lowest(u, refuting_bits))
 
 
 def default_universe(*fs: Formula) -> Universe:

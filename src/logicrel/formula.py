@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator, Union
 
-from .errors import LimitError
-from .limits import max_letters
+from .limits import check_letters
 
 LETTER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -183,21 +182,13 @@ class Universe:
                 raise ValueError(f"invalid letter name {name!r}")
         if len(set(letters)) != len(letters):
             raise ValueError(f"duplicate letters in universe {letters!r}")
-        if len(letters) > max_letters():
-            raise LimitError(
-                f"universe has {len(letters)} letters, limit is {max_letters()}"
-            )
+        check_letters(len(letters), "universe has {} letters")
         object.__setattr__(self, "letters", letters)
 
     @classmethod
     def of(cls, *fs: Formula) -> "Universe":
         """Union of the formulas' letters in first-occurrence order."""
-        seen: list[str] = []
-        for f in fs:
-            for name in letter_sequence(f):
-                if name not in seen:
-                    seen.append(name)
-        return cls(tuple(seen))
+        return cls(tuple(dict.fromkeys(name for f in fs for name in letter_sequence(f))))
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -27,3 +27,13 @@ def max_letters() -> int:
     if value > MAX_LETTERS_CEILING:
         raise LimitError(f"{_ENV_VAR} must be at most {MAX_LETTERS_CEILING}, got {value}")
     return value
+
+
+def check_letters(count: int, subject: str) -> None:
+    """The one letter-limit check: refuse `count` letters above max_letters().
+
+    `subject` words the count in the error, e.g. "universe has {} letters".
+    """
+    limit = max_letters()
+    if count > limit:
+        raise LimitError(f"{subject.format(count)}, limit is {limit}")

@@ -46,7 +46,7 @@ from .formula import (
     join_rope,
     subformulas_bottom_up,
 )
-from .limits import max_letters
+from .limits import check_letters
 
 
 class SyntaxStyle(Enum):
@@ -207,11 +207,7 @@ def parse(text: str) -> Formula:
             elif kind == "EOF" and not depth:
                 while ops:
                     f = _BUILD[ops.pop()](operands.pop(), f)
-                used = len(names)
-                if used > max_letters():
-                    raise LimitError(
-                        f"formula uses {used} distinct letters, limit is {max_letters()}"
-                    )
+                check_letters(len(names), "formula uses {} distinct letters")
                 return f
             else:
                 raise _unexpected(text, tokens, i, _AFTER_OPERAND[depth > 0])

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .equivalence import (
-    _lowest_row, _verdict, default_universe, equivalent, is_contradiction, is_tautology
-)
+from .equivalence import default_universe, equivalent, is_contradiction, is_tautology
 from .errors import LimitError
 from .formula import And, Formula, Imp, Not, Or, Universe
 from .semantics import Interpretation, Mode, truth_table
@@ -168,21 +166,14 @@ def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> lis
         material = is_tautology(f, Mode.MATERIAL, u)
         # One relational table gives the status and the lowest false row.
         t = truth_table(f, u, Mode.RELATIONAL)
-        relational = _verdict(u, t.mask & ~t.bits)
-        if t.is_all_true:
-            status = "tautology"
-        elif t.is_all_false:
-            status = "contradiction"
-        else:
-            status = "contingent"
         reports.append(
             ParadoxReport(
                 schema=schema,
                 formula=f,
                 material_tautology=material.holds,
-                relational_tautology=relational.holds,
-                relational_status=status,
-                relational_witness=relational.witness,
+                relational_tautology=t.is_all_true,
+                relational_status=t.status,
+                relational_witness=Interpretation.lowest(u, t.mask & ~t.bits),
             )
         )
     return reports
@@ -238,9 +229,10 @@ def verify_lattice(n: int) -> LatticeReport:
                 if le(x, y) and le(y, x) and x != y:
                     failures.append(("anti-symmetry", (x, y)))
                 if le(x, y):
-                    stray = down[x] & ~down[y]
+                    stray = down[x] & ~down[y]  # classes below x but not below y
                     if stray:
-                        failures.append(("transitivity", (_lowest_row(stray), x, y)))
+                        lowest = (stray & -stray).bit_length() - 1
+                        failures.append(("transitivity", (lowest, x, y)))
                 if down[x & y] != down[x] & down[y]:
                     failures.append(("meet", (x, y)))
                 if up[x | y] != up[x] & up[y]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import LimitError, UniverseMismatch
+from .errors import UniverseMismatch
 from .formula import (
     BOTTOM,
     TOP,
@@ -40,7 +40,7 @@ from .formula import (
     children,
     subformulas_bottom_up,
 )
-from .limits import max_letters
+from .limits import check_letters
 
 
 class Mode(Enum):
@@ -64,6 +64,11 @@ class Interpretation:
     @classmethod
     def from_index(cls, universe: Universe, row: int) -> "Interpretation":
         return cls(universe, tuple(bool((row >> k) & 1) for k in range(len(universe))))
+
+    @classmethod
+    def lowest(cls, universe: Universe, rows: int) -> "Optional[Interpretation]":
+        """The witness row of a row set: its lowest set bit, or None when `rows` is 0."""
+        return cls.from_index(universe, (rows & -rows).bit_length() - 1) if rows else None
 
     @property
     def index(self) -> int:
@@ -107,6 +112,13 @@ class TruthTable:
     @property
     def is_all_false(self) -> bool:
         return self.bits == 0
+
+    @property
+    def status(self) -> str:
+        """One of "tautology", "contradiction" or "contingent"."""
+        if self.is_all_true:
+            return "tautology"
+        return "contradiction" if self.is_all_false else "contingent"
 
     def bits_hex(self) -> str:
         """Lowercase hex encoding of the bit vector, LSB = row 0."""
@@ -155,8 +167,7 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
     missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
     if missing:
         raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
-    if len(u) > max_letters():
-        raise LimitError(f"universe has {len(u)} letters, limit is {max_letters()}")
+    check_letters(len(u), "universe has {} letters")
     mask = (1 << (1 << len(u))) - 1
     relational = m is Mode.RELATIONAL
     bits: list[int] = []
@@ -230,6 +241,8 @@ def gen_random_formula(depth: int, u: Universe, seed: int) -> Formula:
     Internal nodes pick uniformly among ~, &, |, ->; leaves pick uniformly
     among the letters plus T and F.  Same (depth, u, seed) gives the same tree.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if len(u) < 1:
         raise ValueError("need at least one letter to generate formulas")
     rng = random.Random(seed)

@@ -205,6 +205,15 @@ def test_module_entry_point(formula, code, out, err):
     assert proc.stderr.startswith(err) if err else proc.stderr == ""
 
 
+# Each operand is within the limit in the second case; the universe of both is not.
+@pytest.mark.parametrize(
+    "argv", [["classify", "p", "--universe", "a,b,c"], ["equiv", "p & q", "r"]]
+)
+def test_letter_limit_counts_the_whole_universe(monkeypatch, argv):
+    monkeypatch.setenv("LOGICREL_MAX_LETTERS", "2")
+    assert run(argv) == (3, "", "limit error: universe has 3 letters, limit is 2\n")
+
+
 def test_letter_limit_setting_has_a_ceiling(monkeypatch):
     def refuse(n_letters):
         raise AssertionError(f"row patterns built for {n_letters} letters")

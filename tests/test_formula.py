@@ -81,7 +81,7 @@ def test_universe_rejects_duplicates_and_bad_names():
 def test_universe_letter_limit(monkeypatch):
     monkeypatch.setenv("LOGICREL_MAX_LETTERS", "3")
     Universe(("a", "b", "c"))
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError, match="^universe has 4 letters, limit is 3$"):
         Universe(("a", "b", "c", "d"))
 
 

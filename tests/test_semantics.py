@@ -141,12 +141,32 @@ class TestTruthTable:
     def test_limit_error(self, monkeypatch):
         u = Universe(("p", "q"))
         monkeypatch.setenv("LOGICREL_MAX_LETTERS", "1")
-        with pytest.raises(LimitError):
+        with pytest.raises(LimitError, match="^universe has 2 letters, limit is 1$"):
             truth_table(parse("p"), u, Mode.MATERIAL)
+
+    @pytest.mark.parametrize(
+        "text,letters,status",
+        [
+            ("p", ("p", "q"), "contingent"),
+            ("T", ("p", "q"), "tautology"),
+            ("F", ("p", "q"), "contradiction"),
+            ("T", (), "tautology"),
+            ("F", (), "contradiction"),
+        ],
+    )
+    def test_status(self, text, letters, status):
+        for mode in Mode:
+            assert truth_table(parse(text), Universe(letters), mode).status == status
 
     def test_rejects_out_of_range_bits(self, u_pq):
         with pytest.raises(ValueError):
             TruthTable(u_pq, 1 << 16)
+
+
+def test_lowest_interpretation_of_a_row_set(u_pq):
+    assert Interpretation.lowest(u_pq, 0) is None
+    assert Interpretation.lowest(u_pq, 0b1100).index == 2
+    assert Interpretation.lowest(u_pq, 0b1100).as_dict() == {"p": False, "q": True}
 
 
 class TestGenRandomFormula:
@@ -170,6 +190,11 @@ class TestGenRandomFormula:
             assert letters(f) <= {"p", "q"}
         assert any(gen_random_formula(3, u_pq, seed=s) != gen_random_formula(3, u_pq, seed=s + 1)
                    for s in range(20))
+
+    def test_negative_depth_is_refused(self, u_pq):
+        for seed in range(6):
+            with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+                gen_random_formula(-1, u_pq, seed=seed)
 
     def test_needs_a_letter(self):
         with pytest.raises(ValueError):
