@@ -18,7 +18,7 @@ from typing import Optional
 from .equivalence import default_universe, equivalent, is_contradiction, is_tautology
 from .errors import LimitError
 from .formula import And, Formula, Imp, Not, Or, Universe
-from .semantics import Interpretation, Mode, truth_table
+from .semantics import Interpretation, Mode, le, truth_table
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> R
         u = default_universe(a, b)
     ta = truth_table(a, u, Mode.RELATIONAL)
     tb = truth_table(b, u, Mode.RELATIONAL)
-    meet = ta.bits & tb.bits
 
     flags = set()
     if ta.is_all_false:
@@ -131,11 +130,11 @@ def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> R
 
     if ta.bits == tb.bits:
         kind = RelationKind.EQUIVALENT
-    elif meet == ta.bits:
+    elif le(ta.bits, tb.bits):
         kind = RelationKind.INCLUSION_FORWARD
-    elif meet == tb.bits:
+    elif le(tb.bits, ta.bits):
         kind = RelationKind.INCLUSION_BACKWARD
-    elif meet == 0:
+    elif ta.bits & tb.bits == 0:
         kind = RelationKind.DISJOINT
     else:
         kind = RelationKind.JOINT
@@ -183,9 +182,15 @@ _SAMPLED_CHECKS = 100_000
 _SAMPLE_SEED = 20_240_601
 
 
-def le(x: int, y: int) -> bool:
-    """The relation between truth-table classes: x implies y iff x & y == x."""
-    return x & y == x
+def _order(count: int) -> tuple[list[int], list[int]]:
+    """Down-sets and up-sets as bitmasks, one le per pair: bit y of up[x] is le(x, y)."""
+    down, up = [0] * count, [0] * count
+    for x in range(count):
+        for y in range(count):
+            if le(x, y):
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+    return down, up
 
 
 def verify_lattice(n: int) -> LatticeReport:
@@ -193,9 +198,9 @@ def verify_lattice(n: int) -> LatticeReport:
     into a bounded lattice with & as meet and | as join.
 
     Classes are the truth tables themselves, encoded as row bit vectors; the
-    relation between classes x and y is x & y == x.  For n <= 3 every law is
-    checked exhaustively: per-class down-sets and up-sets are built as bitmasks,
-    which covers all class triples (transitivity, greatest lower bound, least
+    relation between classes x and y is le(x, y).  For n <= 3 every law is
+    checked exhaustively on the down-sets and up-sets of _order, bitmasks that
+    cover all class triples (transitivity, greatest lower bound, least
     upper bound) without enumerating them one by one.  For n = 4 the pair and
     triple laws are checked on seeded random samples instead.
     """
@@ -215,20 +220,12 @@ def verify_lattice(n: int) -> LatticeReport:
             failures.append(("top", (x,)))
 
     if n <= 3:
-        down = [0] * count
-        up = [0] * count
+        down, up = _order(count)
         for x in range(count):
             for y in range(count):
-                if le(y, x):
-                    down[x] |= 1 << y
-                if le(x, y):
-                    up[x] |= 1 << y
-
-        for x in range(count):
-            for y in range(count):
-                if le(x, y) and le(y, x) and x != y:
-                    failures.append(("anti-symmetry", (x, y)))
-                if le(x, y):
+                if up[x] >> y & 1:  # x implies y
+                    if down[x] >> y & 1 and x != y:
+                        failures.append(("anti-symmetry", (x, y)))
                     stray = down[x] & ~down[y]  # classes below x but not below y
                     if stray:
                         lowest = (stray & -stray).bit_length() - 1
@@ -264,16 +261,10 @@ def hasse_edges(n: int) -> list[tuple[int, int]]:
     if not 1 <= n <= 2:
         raise LimitError(f"Hasse export supports 1 <= n <= 2, got {n}")
     count = 1 << (1 << n)
-
-    edges = []
-    for x in range(count):
-        for y in range(count):
-            if x == y or not le(x, y):
-                continue
-            if any(z not in (x, y) and le(x, z) and le(z, y) for z in range(count)):
-                continue
-            edges.append((x, y))
-    return edges
+    down, up = _order(count)
+    # y covers x when x implies y and no third class lies between them.
+    return [(x, y) for x in range(count) for y in range(count)
+            if x != y and up[x] >> y & 1 and not up[x] & down[y] & ~(1 << x | 1 << y)]
 
 
 def proof_case_preconditions(a: Formula, b: Formula, u: Optional[Universe] = None) -> bool:

@@ -137,6 +137,11 @@ class TruthTable:
         return "\n".join(lines)
 
 
+def le(x: int, y: int) -> bool:
+    """The paper's relation on truth tables: x implies y iff x & y == x."""
+    return x & y == x
+
+
 @functools.lru_cache(maxsize=1)
 def _letter_patterns(n_letters: int) -> tuple[int, ...]:
     """Row pattern of each letter of an n_letters universe: bit i of pattern k is bit k of i.
@@ -189,7 +194,7 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
             elif kind is Or:
                 value = a | b
             elif relational:
-                value = mask if a & b == a else 0
+                value = mask if le(a, b) else 0
             else:
                 value = (mask ^ a) | b
         else:

@@ -96,6 +96,8 @@ CASES = [
     CliCase("corpus_equiv_json", ("equiv", "--corpus", _CORPUS_PAIRS, "--json"), 1),
     CliCase("corpus_stdin", ("classify", "--corpus", "-"), 0,
             stdin="p | ~p\n# comment\nT\n"),
+    CliCase("corpus_pair_separator", ("equiv", "--corpus", "-"), 2,
+            stdin="p ; q\np\np ; q ; r\nq ; q\n"),
     # error paths: exit 2 on bad input, 3 on limit violations
     CliCase("error_parse", ("classify", "p -> -> q"), 2,
             stderr="parse error: unexpected '->' at offset 5, expected one of "

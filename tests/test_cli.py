@@ -191,6 +191,32 @@ def test_readme_invocations():
     assert wanted <= ran
 
 
+def test_readme_library_values():
+    # Each expression of the README `python` block has the repr its `# value`
+    # comment states, trailing on the same line or alone on the next one.
+    scope, pending, checked, in_python = {}, None, 0, False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_python = line == "```python"
+            continue
+        if not in_python or not line.strip():
+            continue
+        code, _, stated = (part.strip() for part in line.partition("#"))
+        if code:
+            assert pending is None, f"no value stated for {pending[0]}"
+            try:
+                expression = compile(code, "README.md", "eval")
+            except SyntaxError:
+                exec(code, scope)
+                continue
+            pending = (code, eval(expression, scope))
+        if stated and pending:
+            assert repr(pending[1]) == stated, pending[0]
+            pending, checked = None, checked + 1
+    assert pending is None, f"no value stated for {pending[0]}"
+    assert checked >= 6
+
+
 @pytest.mark.parametrize(
     "formula, code, out, err",
     [("p q", 2, "", "parse error: "), ("p | ~p", 0, "tautology\n", "")],

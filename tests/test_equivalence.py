@@ -78,6 +78,12 @@ class TestEntails:
         assert not v.holds
         assert witness_dict(v) == {"p": False, "q": False}
 
+    def test_default_universe_is_first_occurrence_order(self):
+        assert entails(parse("p & q"), parse("p"), Mode.MATERIAL).holds
+        v = entails(parse("q"), parse("p"), Mode.MATERIAL)
+        assert not v.holds
+        assert list(v.witness.as_dict().items()) == [("q", True), ("p", False)]
+
 
 @given(imp_free_formulas(), imp_free_formulas())
 def test_entailment_matches_relational_implication_tautology(a, b):

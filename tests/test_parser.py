@@ -196,6 +196,11 @@ class TestRender:
         f = parse("~p & q | T -> F")
         assert render(f, SyntaxStyle.UNICODE) == "¬p ∧ q ∨ ⊤ → ⊥"
 
+    def test_non_formula_is_refused(self):
+        with pytest.raises(TypeError) as exc:
+            render("p")
+        assert str(exc.value) == "not a formula: 'p'"
+
 
 @given(formulas())
 def test_roundtrip_ascii(f):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
+from logicrel import relation
 from logicrel.equivalence import equivalent, is_tautology
 from logicrel.errors import LimitError
 from logicrel.formula import And, Imp, Letter, Not, Or, Universe
@@ -171,6 +174,58 @@ class TestVerifyLattice:
     def test_hasse_rejects_large_universes(self):
         with pytest.raises(LimitError):
             hasse_edges(3)
+
+    # A broken order must reach every failure path: the law counts and the
+    # Hasse covers under four wrong relations, pinned per universe size.
+    _BROKEN_ORDERS = {
+        "both ways": (
+            lambda x, y: x & y == x or x & y == y,
+            {1: {"anti-symmetry": 10, "transitivity": 4, "meet": 6, "join": 6},
+             2: {"anti-symmetry": 130, "transitivity": 100, "meet": 210, "join": 210},
+             4: {"anti-symmetry": 1985, "transitivity": 95}},
+        ),
+        "reversed": (
+            lambda x, y: x & y == y,
+            {1: {"top": 3, "bottom": 3, "meet": 12, "join": 12},
+             2: {"top": 15, "bottom": 15, "meet": 240, "join": 240},
+             4: {"top": 65535, "bottom": 65535, "meet": 99998, "join": 99998}},
+        ),
+        "5 not below itself": (
+            lambda x, y: x & y == x and not x == y == 5,
+            {2: {"reflexivity": 1, "meet": 2, "join": 2},
+             4: {"reflexivity": 1, "meet": 2}},
+        ),
+        # A total order in which x & y and x | y are bounds but not the
+        # greatest and least ones; at n = 4 every failure is a sampled triple.
+        "numeric": (
+            lambda x, y: x <= y,
+            {1: {"meet": 2, "join": 2},
+             2: {"meet": 110, "join": 110},
+             4: {"meet": 8351, "join": 8330}},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(_BROKEN_ORDERS))
+    def test_broken_order_fails_the_laws(self, monkeypatch, name):
+        order, expected = self._BROKEN_ORDERS[name]
+        monkeypatch.setattr(relation, "le", order)
+        for n, counts in expected.items():
+            report = verify_lattice(n)
+            assert Counter(law for law, _ in report.failures) == counts, n
+            assert not report.ok
+
+    def test_broken_order_changes_the_hasse_covers(self, monkeypatch):
+        real = hasse_edges(2)
+        assert len(real) == 32
+        monkeypatch.setattr(relation, "le", self._BROKEN_ORDERS["both ways"][0])
+        assert hasse_edges(1) == []
+        monkeypatch.setattr(relation, "le", self._BROKEN_ORDERS["reversed"][0])
+        assert hasse_edges(1) == [(1, 0), (2, 0), (3, 1), (3, 2)]
+        monkeypatch.setattr(relation, "le", self._BROKEN_ORDERS["numeric"][0])
+        assert hasse_edges(1) == [(0, 1), (1, 2), (2, 3)]
+        # Irreflexivity at one class must not add or drop a cover.
+        monkeypatch.setattr(relation, "le", self._BROKEN_ORDERS["5 not below itself"][0])
+        assert hasse_edges(2) == real
 
 
 def _minterm_formula(cls, u):

@@ -169,6 +169,26 @@ def test_lowest_interpretation_of_a_row_set(u_pq):
     assert Interpretation.lowest(u_pq, 0b1100).as_dict() == {"p": False, "q": True}
 
 
+class TestInterpretation:
+    def test_one_value_per_letter(self, u_pq):
+        with pytest.raises(ValueError, match=r"^1 values for 2 letters$"):
+            Interpretation(u_pq, (True,))
+
+    def test_value_by_letter_name(self, u_pq):
+        i = Interpretation.from_index(u_pq, 2)
+        assert i.value("q") is True
+        assert i.value("p") is False
+        with pytest.raises(UniverseMismatch) as exc:
+            i.value("r")
+        assert str(exc.value) == "letter 'r' not in universe ('p', 'q')"
+
+
+def test_table_of_a_non_formula_is_refused():
+    with pytest.raises(TypeError) as exc:
+        truth_table("p", Universe(()), Mode.MATERIAL)
+    assert str(exc.value) == "not a formula: 'p'"
+
+
 class TestGenRandomFormula:
     def test_depth_zero_is_a_leaf(self):
         u = Universe(("p",))
