@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -319,29 +320,36 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--corpus", metavar="FILE", help="batch input, one query per line ('-' for stdin)"
             )
-        sp.set_defaults(handler=_query)
 
     sp = sub.add_parser("lattice", help="verify the bounded-lattice laws over truth-table classes")
     sp.add_argument("n", type=int)
     sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT (n <= 2)")
     sp.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
-    sp.set_defaults(handler=_lattice)
 
     return top
+
+
+# One parser per process.  parse_args returns a fresh Namespace, every default
+# is immutable and help is formatted against the terminal width of its call,
+# so reuse changes no output; the parser holds no handlers for a patch to miss.
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def run(argv: list[str], stdin: Optional[TextIO] = None) -> tuple[int, str, str]:
     """Dispatch one invocation; returns (exit code, stdout text, stderr text)."""
     out, err = io.StringIO(), io.StringIO()
-    parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            ns = parser.parse_args(argv)
+            ns = _parser().parse_args(argv)
     except SystemExit as e:
         return (e.code or 0, out.getvalue(), err.getvalue())
 
+    # Named here, not stored in the parser, so a handler patched in here is seen.
+    handler = _lattice if ns.command == "lattice" else _query
     try:
-        code = ns.handler(ns, out, stdin)
+        code = handler(ns, out, stdin)
     except _EXPECTED as e:
         label, code = _failure(e)
         err.write(f"{label}: {e}\n")

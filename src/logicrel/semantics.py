@@ -169,18 +169,23 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
     constant its relational value stands for, and returned with the bits.
     """
     order = subformulas_bottom_up(f)
-    missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
+    names = {g.name for g in order if type(g) is Letter}
+    missing = names.difference(u.letters)
     if missing:
         raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
-    check_letters(len(u), "universe has {} letters")
-    mask = (1 << (1 << len(u))) - 1
+    n_letters = len(u)
+    check_letters(n_letters, "universe has {} letters")
+    # Patterns only after the limit check, which bounds their size, and only if a letter needs one.
+    patterns = _letter_patterns(n_letters) if names else ()
+    pattern_of = {name: patterns[u.position(name)] for name in names}
+    mask = (1 << (1 << n_letters)) - 1
     relational = m is Mode.RELATIONAL
     bits: list[int] = []
     built: list[Formula] = []
     for g in order:
         kind = type(g)
         if kind is Letter:
-            value = _letter_patterns(len(u))[u.position(g.name)]
+            value = pattern_of[g.name]
         elif kind is Top:
             value = mask
         elif kind is Bottom:

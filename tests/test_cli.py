@@ -123,6 +123,71 @@ def test_audit_builds_six_tables(monkeypatch):
     assert tables == 6
 
 
+# Help, usage errors, answers and an input error, each answered through argparse.
+REUSE_ARGVS = [
+    ["--help"],
+    ["classify", "--help"],
+    ["implies", "--help"],
+    ["lattice", "--help"],
+    ["audit", "--help"],
+    ["frobnicate"],
+    [],
+    ["classify"],
+    ["table"],
+    ["classify", "p", "--mode", "fuzzy"],
+    ["lattice", "x"],
+    ["classify", "p", "--frob"],
+    ["lattice", "2", "--dot"],
+    ["lattice", "1", "--json"],
+    ["implies", "p & q", "p", "--json"],
+    ["equiv", "p -> q", "~p | q", "--universe", "p,q,r"],
+    ["audit"],
+    ["table", "p -> q", "--mode", "material", "--json"],
+    ["relate", "p", "~p"],
+    ["entails", "p & q", "p"],
+    ["classify", "p", "--corpus", "x"],
+]
+
+
+def test_reused_parser_answers_as_a_fresh_one(monkeypatch):
+    # The reused parser is built at the first width and then answers at all of them.
+    def answers(fresh: bool) -> dict:
+        got = {}
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in REUSE_ARGVS:
+                if fresh:
+                    cli._parser.cache_clear()
+                got[(columns, *argv)] = run(argv)
+        return got
+
+    fresh = answers(fresh=True)
+    assert fresh[("40", "classify", "--help")] != fresh[("200", "classify", "--help")]
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert answers(fresh=False) == fresh
+
+
+def test_parser_is_built_once(monkeypatch):
+    original, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for _ in range(10):
+        run(["classify", "p"])
+    assert len(built) == 1
+
+
+def test_patched_handler_is_seen(monkeypatch):
+    run(["lattice", "1"])  # the parser exists before the patch
+    monkeypatch.setattr(cli, "_lattice", lambda ns, out, stdin: 7)
+    assert run(["lattice", "1"]) == (7, "", "")
+
+
 # The CLI surface, written out: operands as --help lists them, and the flags
 # each subcommand takes.  Only the usage line is read; help wording differs
 # across Python versions.
