@@ -1,14 +1,14 @@
 """Formula AST and universe of letters.
 
-Formulas are immutable trees over the connectives {T, F, ~, &, |, ->}.
-Structural equality (``==``) is decidable syntax identity and is distinct
-from logical equivalence, which lives in the equivalence module.
+Formulas are immutable trees over the connectives {T, F, ~, &, |, ->}; each node
+holds its subformulas in one tuple, `children`.  Structural equality (``==``) is
+syntax identity, distinct from logical equivalence (the equivalence module).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
@@ -18,19 +18,28 @@ LETTER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 class _Node:
-    """Structural ==, hash() and repr() as folds over subformulas_bottom_up.
+    """Immutability, pickling, and ==, hash() and repr() as folds over subformulas_bottom_up.
 
-    The dataclass versions recurse through the fields, so they fail on formulas
-    nested deeper than Python's recursion limit.  The post-order of (kind,
-    letter name) pairs fixes the tree, since each kind fixes its child count.
+    Each kind names its fields once, in __match_args__.  The folds work at any
+    nesting depth, where recursing through the fields would not.  The post-order
+    of (kind, letter name) pairs fixes the tree: each kind fixes its child count.
     """
 
     __slots__ = ()
+    children: "tuple[Formula, ...]" = ()  # a leaf's; a connective stores its own
+    __match_args__: "tuple[str, ...]" = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        """Rebuild from the fields; the default would set each slot, which __setattr__ refuses."""
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def _key(self) -> tuple:
-        return tuple(
-            (type(g), g.name if type(g) is Letter else None) for g in subformulas_bottom_up(self)
-        )
+        return tuple((type(g), getattr(g, "name", None)) for g in subformulas_bottom_up(self))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -41,62 +50,74 @@ class _Node:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        """The dataclass text, e.g. Not(child=Letter(name='p'))."""
+        """The constructor text with field names, e.g. Not(child=Letter(name='p'))."""
         ropes: list[list] = []  # one per finished subformula, see join_rope
         for g in subformulas_bottom_up(self):
-            names = [field.name for field in fields(g)]
-            if type(g) is Letter:
-                values = [repr(g.name)]
-            else:
-                values = ropes[len(ropes) - len(names):]
-                del ropes[len(ropes) - len(names):]
+            first = len(ropes) - len(g.children)  # a leaf pops no ropes: its fields are its values
+            values = (ropes[first:] if g.children
+                      else [repr(getattr(g, name)) for name in g.__match_args__])
+            del ropes[first:]
             rope = [type(g).__qualname__, "("]
-            for k, (name, value) in enumerate(zip(names, values)):
+            for k, (name, value) in enumerate(zip(g.__match_args__, values)):
                 rope += [", " if k else "", name, "=", value]
             ropes.append(rope + [")"])
         return join_rope(ropes[0])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Letter(_Node):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not LETTER_NAME.match(self.name):
-            raise ValueError(f"invalid letter name {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not LETTER_NAME.match(name):
+            raise ValueError(f"invalid letter name {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Top(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(_Node):
-    child: "Formula"
+class _Connective(_Node):
+    """A node whose fields are its children, kept in one tuple and read by name."""
+
+    __slots__ = ("children",)
+
+    def __init_subclass__(cls) -> None:
+        for k, name in enumerate(cls.__match_args__):
+            setattr(cls, name, property(lambda self, k=k: self.children[k]))
+
+    def __init__(self, *children: "Formula", **named: "Formula") -> None:
+        fields = self.__match_args__
+        if named:  # keywords fill the fields after the positional ones
+            children += tuple(named.pop(name) for name in fields[len(children):] if name in named)
+        if named or len(children) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class Not(_Connective):
+    __slots__ = ()
+    __match_args__ = ("child",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Connective):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Imp(_Node):
-    antecedent: "Formula"
-    consequent: "Formula"
+class Or(_Connective):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+
+class Imp(_Connective):
+    __slots__ = ()
+    __match_args__ = ("antecedent", "consequent")
 
 
 Formula = Union[Letter, Top, Bottom, Not, And, Or, Imp]
@@ -124,16 +145,6 @@ def join_rope(rope: "str | list") -> str:
     return "".join(pieces)
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Not):
-        return (f.child,)
-    if isinstance(f, (And, Or)):
-        return (f.left, f.right)
-    if isinstance(f, Imp):
-        return (f.antecedent, f.consequent)
-    return ()
-
-
 def subformulas_bottom_up(f: Formula) -> list[Formula]:
     """All subformulas in post-order (duplicates retained); f itself is last.
 
@@ -145,7 +156,10 @@ def subformulas_bottom_up(f: Formula) -> list[Formula]:
     while stack:
         g = stack.pop()
         out.append(g)
-        stack.extend(children(g))
+        try:
+            stack.extend(g.children)
+        except AttributeError:
+            raise TypeError(f"not a formula: {g!r}") from None
     out.reverse()  # node, right, left reversed is left, right, node
     return out
 
@@ -164,7 +178,7 @@ def max_imp_depth(f: Formula) -> int:
     """Maximum nesting depth of implication nodes; 0 iff f is implication-free."""
     depths: list[int] = []
     for g in subformulas_bottom_up(f):
-        inner = max((depths.pop() for _ in children(g)), default=0)
+        inner = max((depths.pop() for _ in g.children), default=0)
         depths.append(inner + isinstance(g, Imp))
     return depths[0]
 

@@ -251,10 +251,8 @@ def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
             stack.append((g["bottom"], _PREC_ATOM))
         elif kind is Not:
             stack[-1] = ([g["not"], _wrap(stack[-1], _PREC_NOT)], _PREC_NOT)
-        elif kind in _BINARY:
+        else:
             glyph, prec, left_needs = _BINARY[kind]
             right = _wrap(stack.pop(), prec + 1)
             stack[-1] = ([_wrap(stack[-1], left_needs), f" {g[glyph]} ", right], prec)
-        else:
-            raise TypeError(f"not a formula: {node!r}")
     return join_rope(stack[0][0])

@@ -265,12 +265,3 @@ def hasse_edges(n: int) -> list[tuple[int, int]]:
     # y covers x when x implies y and no third class lies between them.
     return [(x, y) for x in range(count) for y in range(count)
             if x != y and up[x] >> y & 1 and not up[x] & down[y] & ~(1 << x | 1 << y)]
-
-
-def proof_case_preconditions(a: Formula, b: Formula, u: Optional[Universe] = None) -> bool:
-    """The side conditions under which all three paradox schemas demonstrably fail:
-    neither operand is a contradiction or tautology, and their conjunction is one.
-    That is exactly a disjoint relation with no degenerate flag.
-    """
-    rc = classify_relation(a, b, u)
-    return rc.kind is RelationKind.DISJOINT and not rc.degenerate

@@ -37,7 +37,6 @@ from .formula import (
     Or,
     Top,
     Universe,
-    children,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -192,7 +191,7 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
             value = 0
         elif kind is Not:
             value = mask ^ bits.pop()
-        elif kind is And or kind is Or or kind is Imp:
+        else:
             b, a = bits.pop(), bits.pop()
             if kind is And:
                 value = a & b
@@ -202,11 +201,9 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
                 value = mask if le(a, b) else 0
             else:
                 value = (mask ^ a) | b
-        else:
-            raise TypeError(f"not a formula: {g!r}")
         bits.append(value)
         if rebuild:
-            operands = [built.pop() for _ in children(g)][::-1]
+            operands = [built.pop() for _ in g.children][::-1]
             if kind is Imp:
                 built.append(TOP if value else BOTTOM)
             else:

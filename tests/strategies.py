@@ -16,7 +16,6 @@ from logicrel.formula import (
     Not,
     Or,
     Letter,
-    children,
 )
 
 LETTER_POOL = ("p", "q", "r")
@@ -56,11 +55,11 @@ def gen_imp_free(rng: random.Random, depth: int, letters=LETTER_POOL) -> Formula
 
 
 def node_depth(f: Formula) -> int:
-    kids = children(f)
+    kids = f.children
     if not kids:
         return 0
     return 1 + max(node_depth(k) for k in kids)
 
 
 def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(k) for k in children(f))
+    return 1 + sum(node_count(k) for k in f.children)

@@ -1,6 +1,11 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 
+from logicrel import formula
 from logicrel.errors import LimitError
 from logicrel.formula import (
     BOTTOM,
@@ -10,6 +15,7 @@ from logicrel.formula import (
     Letter,
     Not,
     Or,
+    Top,
     Universe,
     letters,
     max_imp_depth,
@@ -127,3 +133,29 @@ def test_equal_iff_same_rendering(f, g):
     assert (f == g) == (render(f) == render(g))
     if f == g:
         assert hash(f) == hash(g)
+
+
+def test_nodes_keep_the_dataclass_behaviour():
+    f = parse("~p & T -> q | F")
+    assert Letter(name="p") == P and Not(child=P) == Not(P)
+    assert And(left=P, right=Q) == And(P, right=Q) == And(P, Q)
+    assert Imp(antecedent=P, consequent=Q) == Imp(P, Q)
+    for build in (lambda: Not(), lambda: Not(P, Q), lambda: And(P), lambda: Imp(P, Q, P),
+                  lambda: Top(P), lambda: Letter(), lambda: And(P, left=Q)):
+        with pytest.raises(TypeError):
+            build()
+    for node, name in ((P, "name"), (Not(P), "child"), (And(P, Q), "left"), (f, "consequent")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, Q)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    for g in (f, TOP, BOTTOM, P):
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert copy.copy(g) == g and copy.deepcopy(g) == g
+        assert eval(repr(g), vars(formula)) == g
+    match And(P, Not(Q)):
+        case And(Letter(name=a), Not(b)):
+            assert (a, b) == ("p", Q)
+        case _:
+            raise AssertionError("positional pattern did not bind")
+    assert not isinstance(Or(P, Q), And) and not isinstance(And(P, Q), Or)

@@ -197,9 +197,10 @@ class TestRender:
         assert render(f, SyntaxStyle.UNICODE) == "¬p ∧ q ∨ ⊤ → ⊥"
 
     def test_non_formula_is_refused(self):
-        with pytest.raises(TypeError) as exc:
-            render("p")
-        assert str(exc.value) == "not a formula: 'p'"
+        for f in ("p", Not("p")):
+            with pytest.raises(TypeError) as exc:
+                render(f)
+            assert str(exc.value) == "not a formula: 'p'"
 
 
 @given(formulas())

@@ -13,6 +13,7 @@ from logicrel.relation import (
     FIRST_IS_TOP,
     SECOND_IS_BOTTOM,
     SECOND_IS_TOP,
+    RelationClass,
     RelationKind,
     audit_paradoxes,
     classify_relation,
@@ -20,7 +21,6 @@ from logicrel.relation import (
     hasse_edges,
     implies_rel,
     paradox_formula,
-    proof_case_preconditions,
     verify_lattice,
 )
 from logicrel.semantics import Mode
@@ -132,7 +132,7 @@ class TestAuditParadoxes:
 
     def test_negated_operand_satisfies_the_failure_preconditions(self):
         # p and ~p: neither operand degenerate, conjunction is a contradiction.
-        assert proof_case_preconditions(P, Not(P))
+        assert classify_relation(P, Not(P)) == RelationClass(RelationKind.DISJOINT)
         for r in audit_paradoxes(P, Not(P)):
             assert r.relational_tautology is False
 

@@ -14,7 +14,6 @@ from logicrel.formula import (
     Not,
     Or,
     Universe,
-    children,
     max_imp_depth,
 )
 from logicrel.parser import parse
@@ -184,9 +183,10 @@ class TestInterpretation:
 
 
 def test_table_of_a_non_formula_is_refused():
-    with pytest.raises(TypeError) as exc:
-        truth_table("p", Universe(()), Mode.MATERIAL)
-    assert str(exc.value) == "not a formula: 'p'"
+    for f in ("p", Not("p")):
+        with pytest.raises(TypeError) as exc:
+            truth_table(f, Universe(()), Mode.MATERIAL)
+        assert str(exc.value) == "not a formula: 'p'"
 
 
 class TestGenRandomFormula:
@@ -279,7 +279,7 @@ def _replace_at(f, path, new):
     if not path:
         return new
     k, rest = path[0], path[1:]
-    kids = list(children(f))
+    kids = list(f.children)
     kids[k] = _replace_at(kids[k], rest, new)
     if isinstance(f, Not):
         return Not(kids[0])
@@ -294,7 +294,7 @@ def _replace_at(f, path, new):
 
 def _node_at(f, path):
     for k in path:
-        f = children(f)[k]
+        f = f.children[k]
     return f
 
 
@@ -302,7 +302,7 @@ def _innermost_imp_paths(f, path=()):
     out = []
     if isinstance(f, Imp) and max_imp_depth(f) == 1:
         out.append(path)
-    for k, child in enumerate(children(f)):
+    for k, child in enumerate(f.children):
         out.extend(_innermost_imp_paths(child, path + (k,)))
     return out
 
