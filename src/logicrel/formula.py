@@ -125,6 +125,21 @@ Formula = Union[Letter, Top, Bottom, Not, And, Or, Imp]
 TOP = Top()
 BOTTOM = Bottom()
 
+_set_children = _Connective.children.__set__
+
+
+def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formula":
+    """A node of connective `kind` over `children`, trusted to be one formula per field.
+
+    The parser's and the rebuilding fold's constructor: it skips the public
+    constructors' argument binding and checks, which their callers already
+    guarantee, so it costs about half as much per node.
+    """
+    node = object.__new__(kind)
+    _set_children(node, children)
+    return node
+
+
 
 def join_rope(rope: "str | list") -> str:
     """Concatenate a rope: a string, or a list of ropes, read left to right.

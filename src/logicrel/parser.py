@@ -15,11 +15,13 @@ IMP = `->` | `→`, OR = `|` | `∨`, AND = `&` | `∧`, NOT = `~` | `¬`,
 TOP = `T` | `⊤`, BOTTOM = `F` | `⊥`.  Letters are lowercase-initial
 identifiers, so the uppercase constant tokens stay unambiguous.
 
-Parsing is one scan of the whole text by a compiled regular expression, then
-one operator-precedence loop over the tokens with an operand stack and an
-operator stack; neither recurses, so time is linear in the input length.  A
-ParseError reports the UTF-8 byte offset of the offending token, worked out
-only when the error is raised.
+Parsing is one `findall` of the whole text by a compiled regular expression,
+which gives the token strings alone, then one operator-precedence loop over
+them with an operand stack and an operator stack; neither recurses, so time
+is linear in the input length.  The loop reads each token's role from small
+dicts keyed by its text.  Token kinds and positions are worked out only when
+an error is raised, by a second scan that gives the same token sequence; a
+ParseError reports the UTF-8 byte offset of the offending token.
 
 Nesting depth is part of the input contract, not a guard for the Python
 stack: each "(" and each negation opens one level, and a formula nested
@@ -43,6 +45,7 @@ from .formula import (
     Not,
     Or,
     Top,
+    build,
     join_rope,
     subformulas_bottom_up,
 )
@@ -53,6 +56,10 @@ class SyntaxStyle(Enum):
     ASCII = "ascii"
     UNICODE = "unicode"
 
+
+# The token strings parse reads: "->", a word, or any other single character,
+# each with the whitespace after it.  Tokens have the same extents as _SCAN's.
+_TOKENS = re.compile(r"(->|[A-Za-z][A-Za-z0-9_]*|\S)\s*")
 
 # One alternation, matched in C: the group that matched names the token kind,
 # and the whitespace after a token is matched with it.  Every character but
@@ -100,9 +107,12 @@ _PREC_NOT = 4
 _PREC_AND = 3
 _PREC_OR = 2
 _PREC_IMP = 1
-_STRENGTH = {"IMP": _PREC_IMP, "OR": _PREC_OR, "AND": _PREC_AND}
+# Roles of token texts, in both spellings.  A token that none of these names
+# is a letter if it starts lowercase, else an error; "" is the end sentinel.
+_OPENS = {"~": _PREC_NOT, "¬": _PREC_NOT, "(": 0}
+_STRENGTH = {"->": _PREC_IMP, "→": _PREC_IMP, "|": _PREC_OR, "∨": _PREC_OR, "&": _PREC_AND, "∧": _PREC_AND}
 _BUILD = {_PREC_IMP: Imp, _PREC_OR: Or, _PREC_AND: And}
-_CONSTANT = {"TOP": TOP, "BOTTOM": BOTTOM}
+_CONSTANT = {"T": TOP, "⊤": TOP, "F": BOTTOM, "⊥": BOTTOM}
 _BAD = {  # message and expected set of each kind of bad input
     "STRAY": ("stray {!r}", _expecting("IMP")),
     "WORD": ("invalid letter name {!r} (letters start lowercase)", frozenset()),
@@ -150,10 +160,12 @@ def _unexpected(text: str, tokens: list[Token], i: int, expected: frozenset[str]
 def parse(text: str) -> Formula:
     """Parse per the module grammar; whitespace between tokens is ignored.
 
-    One operator-precedence loop over the scanned tokens, with an operand
-    stack and an operator stack, so nothing here recurses.
+    One operator-precedence loop over the token strings, with an operand
+    stack and an operator stack, so nothing here recurses.  An error rescans
+    the text with _scan and is reported from the token at the same index.
     """
-    tokens = _scan(text)
+    tokens = _TOKENS.findall(text)
+    tokens.append("")
     names: dict[str, Letter] = {}  # one Letter per distinct name
     operands: list[Formula] = []  # left operand of each binary connective on ops
     ops: list[int] = []  # 0 for "(", else the binding strength of ~ or a connective
@@ -161,56 +173,57 @@ def parse(text: str) -> Formula:
     i = 0
     while True:
         # Expecting an operand: prefix openers, then an atom.
-        kind, word, _ = tokens[i]
-        while kind == "NOT" or kind == "LPAREN":
+        word = tokens[i]
+        opens = _OPENS.get(word)
+        while opens is not None:
             depth += 1
             if depth > MAX_NESTING:
-                raise _bad_input(text, tokens, i) or LimitError(
+                raise _bad_input(text, _scan(text), i) or LimitError(
                     f"formula nests deeper than {MAX_NESTING} levels"
                 )
-            ops.append(_PREC_NOT if kind == "NOT" else 0)
+            ops.append(opens)
             i += 1
-            kind, word, _ = tokens[i]
-        if kind == "LETTER":
-            f = names.get(word)
+            word = tokens[i]
+            opens = _OPENS.get(word)
+        f = names.get(word)
+        if f is None:
+            f = _CONSTANT.get(word)
             if f is None:
+                if not "a" <= word < "{":  # a word starting with a-z
+                    raise _unexpected(text, _scan(text), i, _ATOM_STARTERS)
                 f = names[word] = Letter(word)
-        elif kind in _CONSTANT:
-            f = _CONSTANT[kind]
-        else:
-            raise _unexpected(text, tokens, i, _ATOM_STARTERS)
         i += 1
         # Expecting an operator: close negations and groups, then a connective.
         while True:
             while ops and ops[-1] == _PREC_NOT:
                 ops.pop()
                 depth -= 1
-                f = Not(f)
+                f = build(Not, (f,))
             # A negation left on ops sits under a "(", so depth > 0 now means a
             # "(" is open, and only connectives lie above the innermost one.
-            kind = tokens[i][0]
-            strength = _STRENGTH.get(kind)
+            word = tokens[i]
+            strength = _STRENGTH.get(word)
             if strength:
                 # -> is right-associative: an open -> stays open for the next.
-                while ops and ops[-1] >= strength + (kind == "IMP"):
-                    f = _BUILD[ops.pop()](operands.pop(), f)
+                while ops and ops[-1] >= strength + (strength == _PREC_IMP):
+                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
                 ops.append(strength)
                 operands.append(f)
                 i += 1
                 break
-            if kind == "RPAREN" and depth:
+            if word == ")" and depth:
                 while ops[-1]:
-                    f = _BUILD[ops.pop()](operands.pop(), f)
+                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
                 ops.pop()
                 depth -= 1
                 i += 1
-            elif kind == "EOF" and not depth:
+            elif word == "" and not depth:
                 while ops:
-                    f = _BUILD[ops.pop()](operands.pop(), f)
+                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
                 check_letters(len(names), "formula uses {} distinct letters")
                 return f
             else:
-                raise _unexpected(text, tokens, i, _AFTER_OPERAND[depth > 0])
+                raise _unexpected(text, _scan(text), i, _AFTER_OPERAND[depth > 0])
 
 
 _GLYPHS = {

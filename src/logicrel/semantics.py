@@ -37,6 +37,7 @@ from .formula import (
     Or,
     Top,
     Universe,
+    build,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -97,9 +98,13 @@ class TruthTable:
     def rows(self) -> int:
         return 1 << len(self.universe)
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
         return (1 << (1 << len(self.universe))) - 1
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or copy does not carry the cached mask."""
+        return {"universe": self.universe, "bits": self.bits}
 
     def value_at(self, row: int) -> bool:
         return bool((self.bits >> row) & 1)
@@ -203,11 +208,13 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
                 value = (mask ^ a) | b
         bits.append(value)
         if rebuild:
-            operands = [built.pop() for _ in g.children][::-1]
+            n = len(g.children)
             if kind is Imp:
-                built.append(TOP if value else BOTTOM)
+                built[-2:] = [TOP if value else BOTTOM]
+            elif n:
+                built[-n:] = [build(kind, tuple(built[-n:]))]
             else:
-                built.append(kind(*operands) if operands else g)
+                built.append(g)
     return bits[0], built[0] if rebuild else None
 
 

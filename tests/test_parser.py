@@ -1,14 +1,18 @@
+import copy
+import pickle
 import random
 import re
 
 import pytest
 from hypothesis import given
 
-from logicrel.errors import LimitError, ParseError
-from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe
-from logicrel.parser import SyntaxStyle, _offset, _scan, parse, render
-from logicrel.semantics import gen_random_formula
+from logicrel import formula
+from logicrel.errors import LimitError, LogicError, ParseError
+from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe, build
+from logicrel.parser import _TOKENS, SyntaxStyle, _offset, _scan, parse, render
+from logicrel.semantics import eliminate_implications, gen_random_formula
 
+from reference_parser import parse as reference_parse
 from strategies import formulas
 
 P, Q, R = Letter("p"), Letter("q"), Letter("r")
@@ -170,6 +174,72 @@ class TestByteOffsets:
             parse(followed)
         assert str(exc.value).startswith("unexpected 'q' at offset ")
         assert exc.value.offset == _utf8_offset(followed, len(followed) - 1)
+
+
+_SOUP_TEXTS = _TOKEN_TEXTS + _BAD_TEXTS + ("Foo", "T2", "F_", "Tx", ">", "2", "_", "?", "pé", "pXy")
+
+
+def _scan_texts(text):
+    return [word for _, word, _ in _scan(text)[:-1]]
+
+
+class TestTokenStrings:
+    """parse reads the token strings of _TOKENS; errors rescan with _scan at the same index."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_token_strings_match_the_scan(self, seed):
+        rng = random.Random(f"strings:{seed}")
+        for _ in range(50):
+            gaps = ["".join(rng.choice(_SPACES) for _ in range(rng.randint(0, 3)))
+                    for _ in range(rng.randint(0, 30) + 1)]
+            text = gaps[0] + "".join(rng.choice(_SOUP_TEXTS) + gap for gap in gaps[1:])
+            assert _TOKENS.findall(text) == _scan_texts(text), text
+
+    @pytest.mark.parametrize("text", [
+        "T2", "F_", "Tx", "->x", "-", ">", "é", "pé", "_", "2",
+        "\u00a0p", "p\u00a0", "\u3000p & q\u3000", "\u00a0\u3000", "\u3000T2\u00a0", "p -\u00a0> q",
+    ])
+    def test_edge_inputs(self, text):
+        assert _TOKENS.findall(text) == _scan_texts(text)
+        outcomes = []
+        for parse_fn in (parse, reference_parse):
+            try:
+                outcomes.append(parse_fn(text))
+            except LogicError as e:
+                outcomes.append((type(e), str(e), getattr(e, "offset", None), e.expected))
+        assert outcomes[0] == outcomes[1]
+
+    def test_parse_builds_no_node_through_a_constructor(self, monkeypatch):
+        rng = random.Random(5)
+        f = gen_random_formula(14, Universe(("p", "q", "r", "s")), 5)  # 1367 characters in ASCII
+        unicode = {"->": "→", "|": "∨", "&": "∧", "~": "¬", "T": "⊤", "F": "⊥"}
+        text = re.sub(r"->|[|&~TF]", lambda m: unicode[m[0]] if rng.random() < 0.5 else m[0], render(f))
+        assert len(text) > 1000 and "→" in text and "->" in text
+        eliminated = eliminate_implications(f, Universe.of(f))
+
+        def refuse(self, *children, **named):
+            raise AssertionError("a public constructor was called")
+
+        monkeypatch.setattr(formula._Connective, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            Not(TOP)
+        assert parse(text) == f
+        assert eliminate_implications(parse(text), Universe.of(f)) == eliminated
+
+    def test_built_nodes_behave_as_constructed_ones(self):
+        P, Q = Letter("p"), Letter("q")
+        pairs = [
+            (build(Not, (P,)), Not(P)),
+            (build(And, (P, Q)), And(P, Q)),
+            (build(Or, (Q, build(Not, (TOP,)))), Or(Q, Not(TOP))),
+            (build(Imp, (build(And, (P, BOTTOM)), Q)), Imp(And(P, BOTTOM), Q)),
+        ]
+        for built, made in pairs:
+            assert type(built) is type(made) and built.children == made.children
+            assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+            assert pickle.dumps(built) == pickle.dumps(made)
+            assert pickle.loads(pickle.dumps(built)) == made
+            assert copy.deepcopy(built) == made
 
 
 class TestRender:

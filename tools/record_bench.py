@@ -5,6 +5,9 @@ declares, at a fixed seed, for its run_seconds, one workload after another.
 Writes BENCH_<pr-number>.json at the repository root: each workload's result
 line, the git revision the tree was checked out at, the Python version and
 the CPU count.  Exits 1 if any workload answered wrongly or failed a query.
+Exits 2, before any workload runs, if src, perfbench, tools or BENCHMARK.json
+differ from the checked-out revision, since the record would name a revision
+other than the code it measured.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
+MEASURED = ("src", "perfbench", "tools", "BENCHMARK.json")
 
 
 def main(argv: list[str]) -> int:
@@ -25,6 +29,14 @@ def main(argv: list[str]) -> int:
         print(__doc__.splitlines()[0], file=sys.stderr)
         return 2
     pr = int(argv[0])
+    changed = subprocess.run(
+        ["git", "status", "--porcelain", "--", *MEASURED],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    if changed:
+        print(f"refusing to record: uncommitted changes in the measured code\n{changed}",
+              file=sys.stderr, end="")
+        return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     workloads = {}
