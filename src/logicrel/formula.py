@@ -131,14 +131,17 @@ _set_children = _Connective.children.__set__
 def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formula":
     """A node of connective `kind` over `children`, trusted to be one formula per field.
 
-    The parser's and the rebuilding fold's constructor: it skips the public
-    constructors' argument binding and checks, which their callers already
-    guarantee, so it costs about half as much per node.
+    For trusted internal callers only, such as the parser: it is not part of
+    the `logicrel` API and is absent from `logicrel.__all__`. It skips the
+    public constructors' argument binding and checks, so it costs about half
+    as much per node, but nothing stops a wrong count. `build(And, (p,))`
+    breaks the rule `_Node._key` relies on, that each kind fixes its child
+    count, so such a node can compare and hash equal to a different tree,
+    and its `.right` raises `IndexError`.
     """
     node = object.__new__(kind)
     _set_children(node, children)
     return node
-
 
 
 def join_rope(rope: "str | list") -> str:

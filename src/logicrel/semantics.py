@@ -37,7 +37,6 @@ from .formula import (
     Or,
     Top,
     Universe,
-    build,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -98,13 +97,9 @@ class TruthTable:
     def rows(self) -> int:
         return 1 << len(self.universe)
 
-    @functools.cached_property
+    @property
     def mask(self) -> int:
         return (1 << (1 << len(self.universe))) - 1
-
-    def __getstate__(self) -> dict:
-        """The fields alone: a pickle or copy does not carry the cached mask."""
-        return {"universe": self.universe, "bits": self.bits}
 
     def value_at(self, row: int) -> bool:
         return bool((self.bits >> row) & 1)
@@ -208,13 +203,11 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
                 value = (mask ^ a) | b
         bits.append(value)
         if rebuild:
-            n = len(g.children)
+            operands = [built.pop() for _ in g.children][::-1]
             if kind is Imp:
-                built[-2:] = [TOP if value else BOTTOM]
-            elif n:
-                built[-n:] = [build(kind, tuple(built[-n:]))]
+                built.append(TOP if value else BOTTOM)
             else:
-                built.append(g)
+                built.append(kind(*operands) if operands else g)
     return bits[0], built[0] if rebuild else None
 
 

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 
 import pytest
@@ -162,17 +160,6 @@ class TestTruthTable:
     def test_rejects_out_of_range_bits(self, u_pq):
         with pytest.raises(ValueError):
             TruthTable(u_pq, 1 << 16)
-
-    def test_mask_is_computed_once_and_kept_out_of_eq_repr_and_pickle(self):
-        u = Universe(tuple("abcdefghi"))  # 512 rows: a mask too big for the small-int cache
-        t = truth_table(parse("a -> i"), u, Mode.MATERIAL)
-        assert t.mask == (1 << 512) - 1 and t.mask is t.mask
-        assert t.__reduce_ex__(2)[2] == {"universe": u, "bits": t.bits}
-        assert repr(t) == f"TruthTable(universe={u!r}, bits={t.bits})"
-        for other in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
-            assert other == t and repr(other) == repr(t) and "mask" not in vars(other)
-            assert other.mask == t.mask and other.is_all_true is False
-        assert t != TruthTable(u, t.bits ^ 1)
 
 
 def test_lowest_interpretation_of_a_row_set(u_pq):
