@@ -96,7 +96,7 @@ def _classify(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
     if status != "contingent":
         return _Outcome(HOLDS if status == "tautology" else FAILS, [status], {"label": status})
     low_true = Interpretation.lowest(u, t.bits)
-    low_false = Interpretation.lowest(u, t.mask & ~t.bits)
+    low_false = Interpretation.lowest(u, t.mask ^ t.bits)
     return _Outcome(
         FAILS,
         [

@@ -46,7 +46,7 @@ def is_tautology(f: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:
     if u is None:
         u = default_universe(f)
     t = truth_table(f, u, m)
-    return _verdict(u, t.mask & ~t.bits)
+    return _verdict(u, t.mask ^ t.bits)
 
 
 def is_contradiction(f: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:

@@ -172,7 +172,7 @@ def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> lis
                 material_tautology=material.holds,
                 relational_tautology=t.is_all_true,
                 relational_status=t.status,
-                relational_witness=Interpretation.lowest(u, t.mask & ~t.bits),
+                relational_witness=Interpretation.lowest(u, t.mask ^ t.bits),
             )
         )
     return reports

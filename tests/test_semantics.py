@@ -157,9 +157,32 @@ class TestTruthTable:
         for mode in Mode:
             assert truth_table(parse(text), Universe(letters), mode).status == status
 
-    def test_rejects_out_of_range_bits(self, u_pq):
-        with pytest.raises(ValueError):
-            TruthTable(u_pq, 1 << 16)
+    @pytest.mark.parametrize("letters", [(), ("p", "q")])
+    def test_rejects_out_of_range_bits(self, letters):
+        u = Universe(letters)
+        mask = (1 << (1 << len(letters))) - 1
+        assert TruthTable(u, mask).bits == mask
+        assert TruthTable(u, 0).bits == 0
+        for bits in (mask + 1, -1, 1 << 16):
+            with pytest.raises(ValueError, match="^bit vector out of range for universe size$"):
+                TruthTable(u, bits)
+
+    @pytest.mark.parametrize("n_letters", range(5))
+    def test_bits_hex_matches_format_for_every_bit_vector(self, n_letters):
+        u = Universe(tuple("pqrs"[:n_letters]))
+        width = max(1, ((1 << n_letters) + 3) // 4)
+        for bits in range(1 << (1 << n_letters)):
+            assert TruthTable(u, bits).bits_hex() == format(bits, f"0{width}x")
+
+    def test_bits_hex_matches_format_at_20_letters(self):
+        u = Universe(tuple(f"x{k}" for k in range(20)))
+        rng = random.Random(20)
+        mask = (1 << (1 << 20)) - 1
+        samples = [0, 1, mask, mask >> 4, 1 << ((1 << 20) - 1)]
+        samples += [rng.getrandbits(1 << 20) for _ in range(3)]
+        samples.append(truth_table(gen_random_formula(8, u, seed=20), u, Mode.MATERIAL).bits)
+        for bits in samples:
+            assert TruthTable(u, bits).bits_hex() == format(bits, "0262144x")
 
 
 def test_lowest_interpretation_of_a_row_set(u_pq):
