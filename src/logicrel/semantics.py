@@ -191,12 +191,10 @@ def _local_runs(
 
     A node's context is the set of universe positions its table is folded
     over, as a bitmask.  An implication's operands take the letters the
-    operands read; every other node takes its parent's context, and the root
-    all of u.  An implication is a constant, so it reads no letters: its
-    verdict over its operands' letters is its verdict over any wider universe,
-    since `le` holds of two tables iff it holds of their cylindrical
-    extensions.  A context of k letters uses the cached patterns truncated to
-    their low 2^k rows, the context's r-th letter in universe order at pattern r.
+    operands read, where an implication reads none; every other node takes
+    its parent's context, and the root all of u.  A context of k letters uses
+    the cached patterns truncated to their low 2^k rows, the context's r-th
+    letter in universe order at pattern r; all of u keeps them whole.
     """
     bit_of = {name: 1 << k for k, name in enumerate(u.letters) if name in pattern_of}
     reads: list[int] = []  # the letters each pending subformula reads
