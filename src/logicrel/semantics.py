@@ -133,7 +133,7 @@ class TruthTable:
     def bits_hex(self) -> str:
         """Lowercase hex encoding of the bit vector, LSB = row 0."""
         width = max(1, (self.rows + 3) // 4)
-        return self.bits.to_bytes((width + 1) // 2, "big").hex()[-width:]
+        return format(self.bits, f"0{width}x")
 
     def row_bits(self, row: int) -> str:
         """Row assignment as one 0/1 character per letter, universe order."""
@@ -228,8 +228,9 @@ def _local_runs(
     for start, at, context in reversed(imps):
         while regions[-1][0] > at:
             region_start, region_context = regions.pop()
-            spans.append((region_start, cursor, region_context))
-            cursor = region_start
+            if region_start < cursor:
+                spans.append((region_start, cursor, region_context))
+                cursor = region_start
         spans.append((at, cursor, regions[-1][1]))
         cursor = at
         regions.append((start, context))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from logicrel import semantics
-from logicrel.formula import Universe, max_imp_depth
+from logicrel.formula import Universe, max_imp_depth, subformulas_bottom_up
 from logicrel.parser import parse
 from logicrel.semantics import Mode, eliminate_implications, gen_random_formula, truth_table
 
@@ -72,6 +72,7 @@ CONTEXTS = [
     ("(p -> q -> r -> s) & p", SMALL),
     ("q -> (T -> F)", ("p", "q")),
     ("(s -> p) & (q -> r)", ("s", "r", "q", "p")),
+    ("(t -> u) & ((p -> q) -> r)", ("t", "p", "u", "q", "r")),
 ]
 
 
@@ -81,6 +82,19 @@ def test_local_contexts_match_oracle_with_the_gate_at_0(monkeypatch, text, lette
     f = parse(text)
     t = truth_table(f, Universe(letters), Mode.RELATIONAL)
     assert [t.value_at(row) for row in range(t.rows)] == oracle_table(f, letters)
+
+
+@pytest.mark.parametrize("text,letters", CONTEXTS)
+def test_local_runs_are_nonempty_and_cover_the_post_order(text, letters):
+    f = parse(text)
+    u = Universe(letters)
+    order = subformulas_bottom_up(f)
+    patterns = semantics._letter_patterns(len(u))
+    mask = (1 << (1 << len(u))) - 1
+    pattern_of = {name: patterns[u.position(name)] for name in letters}
+    runs = semantics._local_runs(order, u, patterns, mask, pattern_of)
+    assert all(run for run, _, _ in runs)
+    assert [g for run, _, _ in runs for g in run] == order
 
 
 @pytest.mark.parametrize("n_letters", range(5))
