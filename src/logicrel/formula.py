@@ -3,6 +3,16 @@
 Formulas are immutable trees over the connectives {T, F, ~, &, |, ->}; each node
 holds its subformulas in one tuple, `children`.  Structural equality (``==``) is
 syntax identity, distinct from logical equivalence (the equivalence module).
+
+A connective that `parse` returned also holds its tree's post-order and
+letters, so that the walks of one query, for its universe and for each of its
+tables, do not descend into a parsed operand again (`cache_walk`).  The
+cached order leaves out the root, so nothing in it refers back to the node
+that holds it: a parsed tree has no reference cycle and is freed by reference
+counting alone.  No other node holds a walk: not TOP, BOTTOM or a Letter,
+which may be shared, not a parsed tree's inner nodes, which would cost memory
+per node times depth, and not a node made by the constructors, by unpickling
+or by copying.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ class _Node:
 
     __slots__ = ()
     children: "tuple[Formula, ...]" = ()  # a leaf's; a connective stores its own
+    _walk: "tuple[list[Formula], tuple[str, ...]] | None" = None  # a leaf's; see cache_walk for a connective's
     __match_args__: "tuple[str, ...]" = ()
 
     def __setattr__(self, name: str, *value: object) -> None:
@@ -85,7 +96,7 @@ class Bottom(_Node):
 class _Connective(_Node):
     """A node whose fields are its children, kept in one tuple and read by name."""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_walk")
 
     def __init_subclass__(cls) -> None:
         for k, name in enumerate(cls.__match_args__):
@@ -98,6 +109,7 @@ class _Connective(_Node):
         if named or len(children) != len(fields):
             raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
         object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_walk", None)
 
 
 class Not(_Connective):
@@ -126,6 +138,7 @@ TOP = Top()
 BOTTOM = Bottom()
 
 _set_children = _Connective.children.__set__
+_set_walk = _Connective._walk.__set__
 
 
 def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formula":
@@ -141,7 +154,22 @@ def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formul
     """
     node = object.__new__(kind)
     _set_children(node, children)
+    _set_walk(node, None)
     return node
+
+
+def cache_walk(root: "Formula", order: "list[Formula]", names: "tuple[str, ...]") -> None:
+    """Keep a parsed tree's post-order and letters on its root, if the root is a connective.
+
+    For the parser only, like `build`, and absent from `logicrel.__all__`.
+    `order` is the post-order without the root itself, so the cache holds
+    no reference back to the node that holds it and the tree stays free of
+    cycles; `names` are the letters in first-occurrence order.  Leaves are
+    never given one: TOP, BOTTOM and a parse's letters may be shared, and
+    their walks are trivial.
+    """
+    if isinstance(root, _Connective):
+        _set_walk(root, (order, names))
 
 
 def join_rope(rope: "str | list") -> str:
@@ -163,33 +191,56 @@ def join_rope(rope: "str | list") -> str:
     return "".join(pieces)
 
 
-def subformulas_bottom_up(f: Formula) -> list[Formula]:
-    """All subformulas in post-order (duplicates retained); f itself is last.
+def post_order(f: Formula) -> tuple[list[Formula], list[str]]:
+    """f's subformulas in post-order, and its letter names left to right.
 
-    The one walk over formulas, on an explicit stack: every other walker folds
-    over this list, popping one value per child of each node off a value stack.
+    The one walk over formulas, on an explicit stack.  A root that `parse`
+    returned holds its tree's post-order and letters (see `cache_walk`), so
+    the walk splices those in and does not descend into it: a query that
+    combines parsed operands, like `And(a, Not(b))`, visits only the nodes
+    above them.  The names may repeat, except within a spliced tree.
     """
     out: list[Formula] = []
+    names: list[str] = []
     stack = [f]
     while stack:
         g = stack.pop()
         out.append(g)
         try:
-            stack.extend(g.children)
+            cached = g._walk
         except AttributeError:
             raise TypeError(f"not a formula: {g!r}") from None
+        if cached is not None:
+            out += reversed(cached[0])
+            names += reversed(cached[1])
+        elif type(g) is Letter:
+            names.append(g.name)
+        else:
+            stack.extend(g.children)
     out.reverse()  # node, right, left reversed is left, right, node
-    return out
+    names.reverse()
+    return out, names
+
+
+def subformulas_bottom_up(f: Formula) -> list[Formula]:
+    """All subformulas in post-order (duplicates retained); f itself is last.
+
+    Every other walker folds over this list, popping one value per child of
+    each node off a value stack.  A parsed root's cached walk is spliced in;
+    other trees, built by the constructors, by unpickling or by copying, are
+    walked node by node.
+    """
+    return post_order(f)[0]
 
 
 def letters(f: Formula) -> set[str]:
     """Set of letter names occurring in f; empty for constant formulas."""
-    return {g.name for g in subformulas_bottom_up(f) if isinstance(g, Letter)}
+    return set(post_order(f)[1])
 
 
 def letter_sequence(f: Formula) -> list[str]:
     """Letter names in first-occurrence (left-to-right) order, deduplicated."""
-    return list(dict.fromkeys(g.name for g in subformulas_bottom_up(f) if isinstance(g, Letter)))
+    return list(dict.fromkeys(post_order(f)[1]))
 
 
 def max_imp_depth(f: Formula) -> int:

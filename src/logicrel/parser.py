@@ -23,6 +23,11 @@ dicts keyed by its text.  Token kinds and positions are worked out only when
 an error is raised, by a second scan that gives the same token sequence; a
 ParseError reports the UTF-8 byte offset of the offending token.
 
+The loop makes each node after its operands, so the order it makes them in is
+the tree's post-order.  parse records that order and the letters in order of
+first occurrence, and keeps both on the root it returns (formula.cache_walk),
+so later walks of the query splice them in instead of walking the tree again.
+
 Nesting depth is part of the input contract, not a guard for the Python
 stack: each "(" and each negation opens one level, and a formula nested
 deeper than MAX_NESTING levels is refused with a LimitError (exit code 3).
@@ -46,6 +51,7 @@ from .formula import (
     Or,
     Top,
     build,
+    cache_walk,
     join_rope,
     subformulas_bottom_up,
 )
@@ -167,6 +173,8 @@ def parse(text: str) -> Formula:
     tokens = _TOKENS.findall(text)
     tokens.append("")
     names: dict[str, Letter] = {}  # one Letter per distinct name
+    order: list[Formula] = []  # every node as it is made, which is post-order
+    made = order.append
     operands: list[Formula] = []  # left operand of each binary connective on ops
     ops: list[int] = []  # 0 for "(", else the binding strength of ~ or a connective
     depth = 0  # "(" and negations on ops
@@ -192,6 +200,7 @@ def parse(text: str) -> Formula:
                 if not "a" <= word < "{":  # a word starting with a-z
                     raise _unexpected(text, _scan(text), i, _ATOM_STARTERS)
                 f = names[word] = Letter(word)
+        made(f)
         i += 1
         # Expecting an operator: close negations and groups, then a connective.
         while True:
@@ -199,6 +208,7 @@ def parse(text: str) -> Formula:
                 ops.pop()
                 depth -= 1
                 f = build(Not, (f,))
+                made(f)
             # A negation left on ops sits under a "(", so depth > 0 now means a
             # "(" is open, and only connectives lie above the innermost one.
             word = tokens[i]
@@ -207,6 +217,7 @@ def parse(text: str) -> Formula:
                 # -> is right-associative: an open -> stays open for the next.
                 while ops and ops[-1] >= strength + (strength == _PREC_IMP):
                     f = build(_BUILD[ops.pop()], (operands.pop(), f))
+                    made(f)
                 ops.append(strength)
                 operands.append(f)
                 i += 1
@@ -214,13 +225,17 @@ def parse(text: str) -> Formula:
             if word == ")" and depth:
                 while ops[-1]:
                     f = build(_BUILD[ops.pop()], (operands.pop(), f))
+                    made(f)
                 ops.pop()
                 depth -= 1
                 i += 1
             elif word == "" and not depth:
                 while ops:
                     f = build(_BUILD[ops.pop()], (operands.pop(), f))
+                    made(f)
                 check_letters(len(names), "formula uses {} distinct letters")
+                order.pop()  # the root; its cache must not refer to it
+                cache_walk(f, order, tuple(names))
                 return f
             else:
                 raise _unexpected(text, _scan(text), i, _AFTER_OPERAND[depth > 0])

@@ -48,7 +48,7 @@ from .formula import (
     Or,
     Top,
     Universe,
-    subformulas_bottom_up,
+    post_order,
 )
 from .limits import check_letters
 
@@ -140,11 +140,18 @@ class TruthTable:
         return "".join("1" if (row >> k) & 1 else "0" for k in range(len(self.universe)))
 
     def render_text(self) -> str:
-        """Header of letters, then one `bits(row) : value` line per row."""
-        lines = [" ".join(self.universe.letters)]
-        for row in range(self.rows):
-            lines.append(f"{self.row_bits(row)} : {1 if self.value_at(row) else 0}")
-        return "\n".join(lines)
+        """Header of letters, then one `bits(row) : value` line per row.
+
+        The bits are read once, in one `format`, where `value_at` per row
+        would shift the whole 2^n-bit int each time.
+        """
+        n = len(self.universe)
+        values = format(self.bits, f"0{self.rows}b")[::-1]  # values[row] is the value at row
+        label = f"0{n}b"
+        # A row's label is its index in binary, lowest bit first; [:n] cuts
+        # the "0" that format gives with no letters to the empty label.
+        rows = (f"{format(row, label)[::-1][:n]} : {value}" for row, value in enumerate(values))
+        return "\n".join([" ".join(self.universe.letters), *rows])
 
 
 def le(x: int, y: int) -> bool:
@@ -260,8 +267,8 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
     With `rebuild`, f is also rebuilt with each implication replaced by the
     constant its relational value stands for, and returned with the bits.
     """
-    order = subformulas_bottom_up(f)
-    names = {g.name for g in order if type(g) is Letter}
+    order, occurrences = post_order(f)
+    names = set(occurrences)
     missing = names.difference(u.letters)
     if missing:
         raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")

@@ -184,6 +184,28 @@ class TestTruthTable:
         for bits in samples:
             assert TruthTable(u, bits).bits_hex() == format(bits, "0262144x")
 
+    @staticmethod
+    def text_by_rows(t, labels):
+        """The text table line by line, from `labels` (each row's `row_bits`) and `value_at`."""
+        rows = [f"{labels[row]} : {1 if t.value_at(row) else 0}" for row in range(t.rows)]
+        return "\n".join([" ".join(t.universe.letters), *rows])
+
+    @pytest.mark.parametrize("n_letters", range(5))
+    def test_text_rendering_matches_rows_for_every_bit_vector(self, n_letters):
+        u = Universe(tuple("pqrs"[:n_letters]))
+        labels = [TruthTable(u, 0).row_bits(row) for row in range(1 << n_letters)]
+        for bits in range(1 << (1 << n_letters)):
+            t = TruthTable(u, bits)
+            assert t.render_text() == self.text_by_rows(t, labels)
+
+    def test_text_rendering_matches_rows_at_12_letters(self):
+        u = Universe(tuple(f"x{k}" for k in range(12)))
+        labels = [TruthTable(u, 0).row_bits(row) for row in range(1 << 12)]
+        rng = random.Random(12)
+        for bits in [0, (1 << 4096) - 1, *(rng.getrandbits(1 << 12) for _ in range(4))]:
+            t = TruthTable(u, bits)
+            assert t.render_text() == self.text_by_rows(t, labels)
+
 
 def test_lowest_interpretation_of_a_row_set(u_pq):
     assert Interpretation.lowest(u_pq, 0) is None
