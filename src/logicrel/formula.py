@@ -162,11 +162,9 @@ def cache_walk(root: "Formula", order: "list[Formula]", names: "tuple[str, ...]"
     """Keep a parsed tree's post-order and letters on its root, if the root is a connective.
 
     For the parser only, like `build`, and absent from `logicrel.__all__`.
-    `order` is the post-order without the root itself, so the cache holds
-    no reference back to the node that holds it and the tree stays free of
-    cycles; `names` are the letters in first-occurrence order.  Leaves are
-    never given one: TOP, BOTTOM and a parse's letters may be shared, and
-    their walks are trivial.
+    `order` is the post-order without the root itself, so that the cache
+    refers to nothing that refers back to the root; `names` are the letters
+    in first-occurrence order.
     """
     if isinstance(root, _Connective):
         _set_walk(root, (order, names))
