@@ -224,9 +224,10 @@ def subformulas_bottom_up(f: Formula) -> list[Formula]:
     """All subformulas in post-order (duplicates retained); f itself is last.
 
     Every other walker folds over this list, popping one value per child of
-    each node off a value stack.  A parsed root's cached walk is spliced in;
-    other trees, built by the constructors, by unpickling or by copying, are
-    walked node by node.
+    each node off a value stack.  Only a connective that `parse` returned
+    carries a cached walk, which is spliced in; it leaves out that root, so
+    it holds no reference cycle.  Other trees, built by the constructors, by
+    unpickling or by copying, are walked node by node.
     """
     return post_order(f)[0]
 

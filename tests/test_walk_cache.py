@@ -124,7 +124,8 @@ def test_formulas_over_parsed_operands(seed):
     assert_walks_agree(eliminate_implications(Imp(a, Or(b, Not(a))), u))
 
 
-@pytest.mark.parametrize("duplicate", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy])
+@pytest.mark.parametrize("duplicate", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
 @pytest.mark.parametrize("k", [2, -2, -1])
 def test_copies_carry_no_cache_and_walk_the_same(duplicate, k):
     f = parse(OPERAND_TEXTS[k])
@@ -164,10 +165,10 @@ QUERIES = [
     ["audit", "p", "q"],
     ["lattice", "2"],
 ]
-assert {argv[0] for argv in QUERIES} == {*COMMANDS, "lattice"}
 
 
 def test_nothing_is_left_for_the_cyclic_collector():
+    assert {argv[0] for argv in QUERIES} == {*COMMANDS, "lattice"}
     texts = OPERAND_TEXTS[:8] + OPERAND_TEXTS[-2:]
     for argv in QUERIES:  # argparse and the regex caches allocate once, before the count
         run(argv)
