@@ -19,11 +19,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Optional, TextIO
 
 from . import __version__
-from .equivalence import default_universe, entails, equivalent
+from .equivalence import Verdict, default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
 from .formula import Formula, Universe
 from .parser import parse, render
@@ -123,13 +122,20 @@ def _implies(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
     return _Outcome(HOLDS if report.holds else FAILS, lines, result, _witness_json(report.witness))
 
 
-# equiv and entails; `decide` is looked up per call, so a wrapper patched in here sees it.
-def _verdict(decide: str, fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
-    verdict = globals()[decide](fs[0], fs[1], mode, u)
+def _verdict(verdict: Verdict) -> _Outcome:
     if verdict.holds:
         return _Outcome(HOLDS, ["holds"], {"holds": True})
     lines = ["fails", f"witness: {_assignment_text(verdict.witness)}"]
     return _Outcome(FAILS, lines, {"holds": False}, _witness_json(verdict.witness))
+
+
+# equivalent and entails are looked up per call, so a wrapper patched into this module sees them.
+def _equiv(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
+    return _verdict(equivalent(fs[0], fs[1], mode, u))
+
+
+def _entails(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
+    return _verdict(entails(fs[0], fs[1], mode, u))
 
 
 def _relate(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
@@ -191,12 +197,8 @@ COMMANDS = {
         _implies,
         mode="relational",
     ),
-    "equiv": _Command(
-        "are the two formulas logically equivalent", _PAIR, partial(_verdict, "equivalent")
-    ),
-    "entails": _Command(
-        "does every model of the first satisfy the second", _PAIR, partial(_verdict, "entails")
-    ),
+    "equiv": _Command("are the two formulas logically equivalent", _PAIR, _equiv),
+    "entails": _Command("does every model of the first satisfy the second", _PAIR, _entails),
     "relate": _Command(
         "disjoint / joint / inclusion classification", _PAIR, _relate, mode="relational"
     ),

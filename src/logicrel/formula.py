@@ -162,11 +162,12 @@ def cache_walk(root: "Formula", order: "list[Formula]", names: "tuple[str, ...]"
     """Keep a parsed tree's post-order and letters on its root, if the root is a connective.
 
     For the parser only, like `build`, and absent from `logicrel.__all__`.
-    `order` is the post-order without the root itself, so that the cache
-    refers to nothing that refers back to the root; `names` are the letters
-    in first-occurrence order.
+    `order` is the tree's post-order, which ends with the root; the cache
+    keeps it without the root, so that it refers to nothing that refers back
+    to the root.  `names` are the letters in first-occurrence order.
     """
     if isinstance(root, _Connective):
+        order.pop()
         _set_walk(root, (order, names))
 
 

@@ -10,17 +10,18 @@ Grammar (EBNF), loosest to tightest binding, with -> right-associative and
     neg     := NOT neg | atom
     atom    := LETTER | TOP | BOTTOM | "(" formula ")"
 
-Tokens accept ASCII and Unicode spellings interchangeably:
-IMP = `->` | `→`, OR = `|` | `∨`, AND = `&` | `∧`, NOT = `~` | `¬`,
-TOP = `T` | `⊤`, BOTTOM = `F` | `⊥`.  Letters are lowercase-initial
-identifiers, so the uppercase constant tokens stay unambiguous.
+Each connective and constant has an ASCII and a Unicode spelling, which parse
+accepts interchangeably; the table _SPELLINGS below lists them (IMP is `->` or
+`→`).  Letters are lowercase-initial identifiers, so the uppercase constant
+tokens stay unambiguous.
 
 Parsing is one `findall` of the whole text by a compiled regular expression,
 which gives the token strings alone, then one operator-precedence loop over
 them with an operand stack and an operator stack; neither recurses, so time
 is linear in the input length.  The loop reads each token's role from small
-dicts keyed by its text.  Token kinds and positions are worked out only when
-an error is raised, by a second scan that gives the same token sequence; a
+dicts keyed by its text, built at import from _SPELLINGS.  Token positions
+are worked out only when an error is raised: _error runs the same regular
+expression again with `finditer`, whose matches are the same tokens, and a
 ParseError reports the UTF-8 byte offset of the offending token.
 
 The loop makes each node after its operands, so the order it makes them in is
@@ -38,7 +39,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .errors import LimitError, ParseError
+from .errors import LimitError, LogicError, ParseError
 from .formula import (
     BOTTOM,
     TOP,
@@ -63,43 +64,21 @@ class SyntaxStyle(Enum):
     UNICODE = "unicode"
 
 
-# The token strings parse reads: "->", a word, or any other single character,
-# each with the whitespace after it.  Tokens have the same extents as _SCAN's.
-_TOKENS = re.compile(r"(->|[A-Za-z][A-Za-z0-9_]*|\S)\s*")
-
-# One alternation, matched in C: the group that matched names the token kind,
-# and the whitespace after a token is matched with it.  Every character but
-# whitespace starts some group; STRAY, WORD and CHAR are the kinds of bad input.
-_SCAN = re.compile(
-    r"(?:(?P<IMP>->|→)|(?P<OR>[|∨])|(?P<AND>[&∧])|(?P<NOT>[~¬])|(?P<LPAREN>\()|(?P<RPAREN>\))"
-    r"|(?P<LETTER>[a-z][A-Za-z0-9_]*)|(?P<TOP>T(?![A-Za-z0-9_])|⊤)|(?P<BOTTOM>F(?![A-Za-z0-9_])|⊥)"
-    r"|(?P<STRAY>-)|(?P<WORD>[A-Z][A-Za-z0-9_]*)|(?P<CHAR>\S))\s*"
-)
-
-# Canonical spellings used in expected-token sets of parse errors.
-_SPELLING = {
-    "IMP": "'->'",
-    "OR": "'|'",
-    "AND": "'&'",
-    "NOT": "'~'",
-    "TOP": "'T'",
-    "BOTTOM": "'F'",
-    "LPAREN": "'('",
-    "RPAREN": "')'",
-    "LETTER": "letter",
-    "EOF": "end of input",
+# Each connective and constant, spelled in ASCII and in Unicode: one column per
+# SyntaxStyle, in its order.  Error messages quote the ASCII spelling.
+_SPELLINGS = {
+    Imp: ("->", "→"),
+    Or: ("|", "∨"),
+    And: ("&", "∧"),
+    Not: ("~", "¬"),
+    Top: ("T", "⊤"),
+    Bottom: ("F", "⊥"),
 }
 
-
-def _expecting(*kinds: str) -> frozenset[str]:
-    return frozenset(_SPELLING[k] for k in kinds)
-
-
-_ATOM_STARTERS = _expecting("NOT", "TOP", "BOTTOM", "LPAREN", "LETTER")
-_AFTER_OPERAND = {  # keyed by whether a "(" is open
-    True: _expecting("RPAREN", "IMP", "OR", "AND"),
-    False: _expecting("IMP", "OR", "AND", "EOF"),
-}
+# The token strings parse reads: IMP's ASCII spelling, the one spelling that is
+# neither a word nor a single character; a word; or any other single character;
+# each with the whitespace after it.
+_TOKENS = re.compile(r"(%s|[A-Za-z][A-Za-z0-9_]*|\S)\s*" % re.escape(_SPELLINGS[Imp][0]))
 
 # The documented depth contract: each "(" and each negation opens one level,
 # and a formula nested deeper than this is refused with a LimitError (exit 3).
@@ -113,27 +92,34 @@ _PREC_NOT = 4
 _PREC_AND = 3
 _PREC_OR = 2
 _PREC_IMP = 1
+# Binding strength of each connective, and the strength a left operand needs to
+# go bare in render; a right operand must always bind strictly tighter.
+_BINARY = {
+    And: (_PREC_AND, _PREC_AND),
+    Or: (_PREC_OR, _PREC_OR),
+    Imp: (_PREC_IMP, _PREC_IMP + 1),
+}
 # Roles of token texts, in both spellings.  A token that none of these names
 # is a letter if it starts lowercase, else an error; "" is the end sentinel.
-_OPENS = {"~": _PREC_NOT, "¬": _PREC_NOT, "(": 0}
-_STRENGTH = {"->": _PREC_IMP, "→": _PREC_IMP, "|": _PREC_OR, "∨": _PREC_OR, "&": _PREC_AND, "∧": _PREC_AND}
-_BUILD = {_PREC_IMP: Imp, _PREC_OR: Or, _PREC_AND: And}
-_CONSTANT = {"T": TOP, "⊤": TOP, "F": BOTTOM, "⊥": BOTTOM}
-_BAD = {  # message and expected set of each kind of bad input
-    "STRAY": ("stray {!r}", _expecting("IMP")),
-    "WORD": ("invalid letter name {!r} (letters start lowercase)", frozenset()),
-    "CHAR": ("unexpected character {!r}", frozenset()),
+_OPENS = {**dict.fromkeys(_SPELLINGS[Not], _PREC_NOT), "(": 0}
+_STRENGTH = {text: prec for kind, (prec, _) in _BINARY.items() for text in _SPELLINGS[kind]}
+_BUILD = {prec: kind for kind, (prec, _) in _BINARY.items()}
+_CONSTANT = {text: node for node in (TOP, BOTTOM) for text in _SPELLINGS[type(node)]}
+
+
+def _quoted(kind: type) -> str:
+    """How an expected-token set names a connective or constant."""
+    return repr(_SPELLINGS[kind][0])
+
+
+# Expected-token sets of parse errors.
+_END = "end of input"
+_CONNECTIVES = frozenset(map(_quoted, _BINARY))
+_ATOM_STARTERS = frozenset({*map(_quoted, (Not, Top, Bottom)), "'('", "letter"})
+_AFTER_OPERAND = {  # keyed by whether a "(" is open
+    True: _CONNECTIVES | {"')'"},
+    False: _CONNECTIVES | {_END},
 }
-
-Token = tuple[str, str, int]  # (kind, text, char position)
-
-
-def _scan(text: str) -> list[Token]:
-    """Every token of text, then ("EOF", "", len(text)); bad input is a token too."""
-    # finditer skips the whitespace before the first token.
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start()) for m in _SCAN.finditer(text)]
-    tokens.append(("EOF", "", len(text)))
-    return tokens
 
 
 def _offset(text: str, pos: int) -> int:
@@ -141,34 +127,38 @@ def _offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _bad_input(text: str, tokens: list[Token], i: int) -> ParseError | None:
-    """The error of the first bad token at or after tokens[i], if there is one.
+def _error(text: str, i: int, expected: frozenset[str] | None) -> LogicError:
+    """The error that stops parse at token i; expected is None past MAX_NESTING.
 
-    The parser has read every token before i, so this is the first bad token of
-    the whole input.  Bad input anywhere is reported before a parse or nesting
-    error, so this wins over the error found at i.
+    Bad input anywhere is reported before a parse or nesting error.  parse has
+    read every token before i, so the first bad token at or after i is the
+    first of the whole input; failing that, the error is the nesting limit or
+    the token at i.  The tokens are _TOKENS's matches again, with positions.
     """
-    for kind, word, pos in tokens[i:]:
-        if kind in _BAD:
-            message, expected = _BAD[kind]
-            return ParseError(message.format(word), _offset(text, pos), expected)
-    return None
-
-
-def _unexpected(text: str, tokens: list[Token], i: int, expected: frozenset[str]) -> ParseError:
-    kind, word, pos = tokens[i]
-    what = "end of input" if kind == "EOF" else f"{word!r}"
-    return _bad_input(text, tokens, i) or ParseError(
-        f"unexpected {what}", _offset(text, pos), expected
-    )
+    tokens = list(_TOKENS.finditer(text))
+    for m in tokens[i:]:
+        word = m[1]
+        if "a" <= word < "{" or word in _OPENS or word in _STRENGTH or word in _CONSTANT or word == ")":
+            continue  # a letter, or a token with a role
+        offset = _offset(text, m.start())
+        if word == "-":
+            return ParseError(f"stray {word!r}", offset, frozenset({_quoted(Imp)}))
+        if "A" <= word < "[":
+            return ParseError(f"invalid letter name {word!r} (letters start lowercase)", offset)
+        return ParseError(f"unexpected character {word!r}", offset)
+    if expected is None:
+        return LimitError(f"formula nests deeper than {MAX_NESTING} levels")
+    if i < len(tokens):
+        return ParseError(f"unexpected {tokens[i][1]!r}", _offset(text, tokens[i].start()), expected)
+    return ParseError(f"unexpected {_END}", _offset(text, len(text)), expected)
 
 
 def parse(text: str) -> Formula:
     """Parse per the module grammar; whitespace between tokens is ignored.
 
     One operator-precedence loop over the token strings, with an operand
-    stack and an operator stack, so nothing here recurses.  An error rescans
-    the text with _scan and is reported from the token at the same index.
+    stack and an operator stack, so nothing here recurses.  An error is
+    built by _error from the index of the token the loop stopped at.
     """
     tokens = _TOKENS.findall(text)
     tokens.append("")
@@ -186,9 +176,7 @@ def parse(text: str) -> Formula:
         while opens is not None:
             depth += 1
             if depth > MAX_NESTING:
-                raise _bad_input(text, _scan(text), i) or LimitError(
-                    f"formula nests deeper than {MAX_NESTING} levels"
-                )
+                raise _error(text, i, None)
             ops.append(opens)
             i += 1
             word = tokens[i]
@@ -198,7 +186,7 @@ def parse(text: str) -> Formula:
             f = _CONSTANT.get(word)
             if f is None:
                 if not "a" <= word < "{":  # a word starting with a-z
-                    raise _unexpected(text, _scan(text), i, _ATOM_STARTERS)
+                    raise _error(text, i, _ATOM_STARTERS)
                 f = names[word] = Letter(word)
         made(f)
         i += 1
@@ -234,24 +222,16 @@ def parse(text: str) -> Formula:
                     f = build(_BUILD[ops.pop()], (operands.pop(), f))
                     made(f)
                 check_letters(len(names), "formula uses {} distinct letters")
-                order.pop()  # the root; its cache must not refer to it
                 cache_walk(f, order, tuple(names))
                 return f
             else:
-                raise _unexpected(text, _scan(text), i, _AFTER_OPERAND[depth > 0])
+                raise _error(text, i, _AFTER_OPERAND[depth > 0])
 
 
+# Each style's spelling of each connective and constant, keyed by node class.
 _GLYPHS = {
-    SyntaxStyle.ASCII: {"not": "~", "and": "&", "or": "|", "imp": "->", "top": "T", "bottom": "F"},
-    SyntaxStyle.UNICODE: {"not": "¬", "and": "∧", "or": "∨", "imp": "→", "top": "⊤", "bottom": "⊥"},
-}
-
-# Glyph, binding strength, and the strength a left operand needs to go bare;
-# a right operand must always bind strictly tighter than its connective.
-_BINARY = {
-    And: ("and", _PREC_AND, _PREC_AND),
-    Or: ("or", _PREC_OR, _PREC_OR),
-    Imp: ("imp", _PREC_IMP, _PREC_IMP + 1),
+    style: {kind: spellings[column] for kind, spellings in _SPELLINGS.items()}
+    for column, style in enumerate(SyntaxStyle)
 }
 
 
@@ -273,14 +253,12 @@ def render(f: Formula, style: SyntaxStyle = SyntaxStyle.ASCII) -> str:
         kind = type(node)
         if kind is Letter:
             stack.append((node.name, _PREC_ATOM))
-        elif kind is Top:
-            stack.append((g["top"], _PREC_ATOM))
-        elif kind is Bottom:
-            stack.append((g["bottom"], _PREC_ATOM))
+        elif kind is Top or kind is Bottom:
+            stack.append((g[kind], _PREC_ATOM))
         elif kind is Not:
-            stack[-1] = ([g["not"], _wrap(stack[-1], _PREC_NOT)], _PREC_NOT)
+            stack[-1] = ([g[Not], _wrap(stack[-1], _PREC_NOT)], _PREC_NOT)
         else:
-            glyph, prec, left_needs = _BINARY[kind]
+            prec, left_needs = _BINARY[kind]
             right = _wrap(stack.pop(), prec + 1)
-            stack[-1] = ([_wrap(stack[-1], left_needs), f" {g[glyph]} ", right], prec)
+            stack[-1] = ([_wrap(stack[-1], left_needs), f" {g[kind]} ", right], prec)
     return join_rope(stack[0][0])

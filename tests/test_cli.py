@@ -11,6 +11,7 @@ import pytest
 from logicrel import cli, equivalence, relation, semantics
 from logicrel.cli import main, run
 from logicrel.limits import max_letters
+from logicrel.parser import parse
 
 from cli_cases import CASES, run_case
 
@@ -186,6 +187,24 @@ def test_patched_handler_is_seen(monkeypatch):
     run(["lattice", "1"])  # the parser exists before the patch
     monkeypatch.setattr(cli, "_lattice", lambda ns, out, stdin: 7)
     assert run(["lattice", "1"]) == (7, "", "")
+
+
+@pytest.mark.parametrize("command, name", [("equiv", "equivalent"), ("entails", "entails")])
+def test_patched_verdict_function_is_seen(monkeypatch, command, name):
+    # A wrapper patched into cli after the parser exists, as a tracer does,
+    # answers every query of the command.
+    run([command, "p", "q"])
+    original, calls = getattr(cli, name), []
+
+    def wrapped(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, wrapped)
+    expected = run([command, "p & q", "p"])
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0][:2] == (parse("p & q"), parse("p"))
+    assert expected == run([command, "p & q", "p"])
 
 
 # The CLI surface, written out: operands as --help lists them, and the flags

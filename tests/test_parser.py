@@ -9,9 +9,10 @@ from hypothesis import given
 from logicrel import formula
 from logicrel.errors import LimitError, LogicError, ParseError
 from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe, build
-from logicrel.parser import _TOKENS, SyntaxStyle, _offset, _scan, parse, render
+from logicrel.parser import _TOKENS, SyntaxStyle, _offset, parse, render
 from logicrel.semantics import gen_random_formula
 
+from reference_parser import _tokenize as reference_tokenize
 from reference_parser import parse as reference_parse
 from strategies import formulas
 
@@ -107,12 +108,6 @@ _SPACES = (" ", "\t", "\u00a0", "\u3000")  # 1, 1, 2 and 3 UTF-8 bytes
 _BAD_TEXTS = ("$", "-", "Xy", "é")  # each stops the tokenizer
 
 
-_KINDS = {
-    "->": "IMP", "→": "IMP", "|": "OR", "∨": "OR", "&": "AND", "∧": "AND", "~": "NOT", "¬": "NOT",
-    "T": "TOP", "⊤": "TOP", "F": "BOTTOM", "⊥": "BOTTOM", "(": "LPAREN", ")": "RPAREN",
-}
-
-
 def _mixed_source(rng, n_tokens):
     """Token texts joined by 1-3 mixed-width spaces, with each token's text and char position."""
     parts, tokens, pos = [], [], 0
@@ -136,12 +131,17 @@ class TestByteOffsets:
     def test_token_offsets_are_utf8_bytes(self, seed):
         rng = random.Random(seed)
         text, expected = _mixed_source(rng, rng.randint(1, 300))
-        tokens = _scan(text)
-        assert tokens[:-1] == [(_KINDS.get(token, "LETTER"), token, pos) for token, pos in expected]
-        assert tokens[-1] == ("EOF", "", len(text))
-        assert [_offset(text, pos) for _, _, pos in tokens] == [
-            _utf8_offset(text, pos) for _, pos in expected
-        ] + [len(text.encode("utf-8"))]
+        tokens = list(_TOKENS.finditer(text))
+        assert [(m[1], m.start()) for m in tokens] == expected
+        assert [_offset(text, m.start()) for m in tokens] == [_utf8_offset(text, pos) for _, pos in expected]
+        assert _offset(text, len(text)) == len(text.encode("utf-8"))
+        # An error raised at each token reports that token's offset: "?" in its
+        # place is the first bad token, wherever the parse itself stops.
+        for token, pos in expected:
+            with pytest.raises(ParseError) as exc:
+                parse(text[:pos] + "?" + text[pos + len(token):])
+            assert str(exc.value).startswith("unexpected character '?' at offset ")
+            assert exc.value.offset == _utf8_offset(text, pos)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_error_offsets_are_utf8_bytes(self, seed):
@@ -179,12 +179,29 @@ class TestByteOffsets:
 _SOUP_TEXTS = _TOKEN_TEXTS + _BAD_TEXTS + ("Foo", "T2", "F_", "Tx", ">", "2", "_", "?", "pé", "pXy")
 
 
-def _scan_texts(text):
-    return [word for _, word, _ in _scan(text)[:-1]]
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except LogicError as e:
+        return type(e), str(e), getattr(e, "offset", None), getattr(e, "expected", None)
+
+
+def _parses_as_the_reference(text):
+    """parse and the reference parser give the same formula or the same error.
+
+    Where the reference's character-by-character scan accepts every token, its
+    token texts are the ones parse reads.
+    """
+    assert _outcome(parse, text) == _outcome(reference_parse, text), text
+    try:
+        scanned = [token.text for token in reference_tokenize(text)[:-1]]
+    except ParseError:
+        return
+    assert _TOKENS.findall(text) == scanned, text
 
 
 class TestTokenStrings:
-    """parse reads the token strings of _TOKENS; errors rescan with _scan at the same index."""
+    """parse reads the token strings of _TOKENS; errors re-read its matches at the same index."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_token_strings_match_the_scan(self, seed):
@@ -192,22 +209,14 @@ class TestTokenStrings:
         for _ in range(50):
             gaps = ["".join(rng.choice(_SPACES) for _ in range(rng.randint(0, 3)))
                     for _ in range(rng.randint(0, 30) + 1)]
-            text = gaps[0] + "".join(rng.choice(_SOUP_TEXTS) + gap for gap in gaps[1:])
-            assert _TOKENS.findall(text) == _scan_texts(text), text
+            _parses_as_the_reference(gaps[0] + "".join(rng.choice(_SOUP_TEXTS) + gap for gap in gaps[1:]))
 
     @pytest.mark.parametrize("text", [
         "T2", "F_", "Tx", "->x", "-", ">", "é", "pé", "_", "2",
         "\u00a0p", "p\u00a0", "\u3000p & q\u3000", "\u00a0\u3000", "\u3000T2\u00a0", "p -\u00a0> q",
     ])
     def test_edge_inputs(self, text):
-        assert _TOKENS.findall(text) == _scan_texts(text)
-        outcomes = []
-        for parse_fn in (parse, reference_parse):
-            try:
-                outcomes.append(parse_fn(text))
-            except LogicError as e:
-                outcomes.append((type(e), str(e), getattr(e, "offset", None), e.expected))
-        assert outcomes[0] == outcomes[1]
+        _parses_as_the_reference(text)
 
     def test_parse_builds_no_node_through_a_constructor(self, monkeypatch):
         rng = random.Random(5)
@@ -269,6 +278,32 @@ class TestRender:
             with pytest.raises(TypeError) as exc:
                 render(f)
             assert str(exc.value) == "not a formula: 'p'"
+
+
+# Each connective and constant: a formula of it, its text with {} for the
+# spelling, the ASCII and Unicode spellings, and a text that stops where the
+# token is one of those expected.
+_SPELLED = [
+    (Imp(P, Q), "p {} q", "->", "→", "p q"),
+    (Or(P, Q), "p {} q", "|", "∨", "p q"),
+    (And(P, Q), "p {} q", "&", "∧", "p q"),
+    (Not(P), "{}p", "~", "¬", ""),
+    (TOP, "{}", "T", "⊤", ""),
+    (BOTTOM, "{}", "F", "⊥", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "node, template, ascii, unicode, stop", _SPELLED, ids=[type(row[0]).__name__ for row in _SPELLED]
+)
+def test_spellings_round_trip(node, template, ascii, unicode, stop):
+    assert parse(template.format(ascii)) == parse(template.format(unicode)) == node
+    assert render(node, SyntaxStyle.ASCII) == template.format(ascii)
+    assert render(node, SyntaxStyle.UNICODE) == template.format(unicode)
+    with pytest.raises(ParseError) as exc:
+        parse(stop)
+    assert f"'{ascii}'" in exc.value.expected
+    assert f"'{unicode}'" not in exc.value.expected
 
 
 @given(formulas())
