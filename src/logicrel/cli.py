@@ -280,10 +280,11 @@ def _lattice(ns, out: io.StringIO, stdin: Optional[TextIO]) -> int:
     if ns.dot and ns.json:
         raise ValueError("--dot and --json are mutually exclusive")
     if ns.dot:
+        covers = hasse_edges(ns.n)  # first: it refuses n before 1 << n is built
         rows = 1 << ns.n
         edges = [
             f'  "{_class_bits(lower, rows)}" -> "{_class_bits(upper, rows)}";'
-            for lower, upper in hasse_edges(ns.n)
+            for lower, upper in covers
         ]
         outcome = _Outcome(HOLDS, ["digraph hasse {", "  rankdir=BT;", *edges, "}"])
     else:

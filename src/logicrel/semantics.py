@@ -9,8 +9,9 @@ operands' relational tables a and b alone: all rows if a & b == a, else none.
 
 So one bottom-up pass over the formula computes its table in either mode, the
 two differing only at implication nodes.  truth_table is that pass, pointwise
-evaluation reads one row of it, and eliminate_implications is the same pass
-rebuilding the formula with each implication replaced by T or F.
+evaluation reads one row of it, and in relational mode the pass also returns
+each implication's value in post-order.  eliminate_implications builds the
+formula again from that list, with each implication replaced by T or F.
 
 An implication's table is a constant, so it reads no letters, and its verdict
 depends only on the letters its operands read.  Relational mode therefore
@@ -49,6 +50,7 @@ from .formula import (
     Top,
     Universe,
     post_order,
+    subformulas_bottom_up,
 )
 from .limits import check_letters
 
@@ -261,11 +263,11 @@ def _local_runs(
     return runs
 
 
-def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int, Optional[Formula]]:
+def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
     """The evaluator: f's table over u, each node's bits from its children's on a stack.
 
-    With `rebuild`, f is also rebuilt with each implication replaced by the
-    constant its relational value stands for, and returned with the bits.
+    Also returns the value of each relational implication, mask or 0, in
+    post-order; in material mode that list is empty.
     """
     order, occurrences = post_order(f)
     names = set(occurrences)
@@ -284,7 +286,7 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
     else:
         runs = ((order, mask, pattern_of),)
     bits: list[int] = []
-    built: list[Formula] = []
+    values: list[int] = []
     for run, mask, pattern_of in runs:
         for g in run:
             kind = type(g)
@@ -304,16 +306,11 @@ def _fold(f: Formula, u: Universe, m: Mode, rebuild: bool = False) -> tuple[int,
                     value = a | b
                 elif relational:
                     value = mask if le(a, b) else 0
+                    values.append(value)
                 else:
                     value = (mask ^ a) | b
             bits.append(value)
-            if rebuild:
-                operands = [built.pop() for _ in g.children][::-1]
-                if kind is Imp:
-                    built.append(TOP if value else BOTTOM)
-                else:
-                    built.append(kind(*operands) if operands else g)
-    return bits[0], built[0] if rebuild else None
+    return bits[0], values
 
 
 def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
@@ -339,10 +336,21 @@ def eliminate_implications(f: Formula, u: Universe) -> Formula:
 
     An implication becomes T when antecedent & consequent is logically
     equivalent to the antecedent over u, judged on the operands' relational
-    tables, F otherwise.  Inner implications are judged before the ones that
-    enclose them, in the same single pass that computes the table.
+    tables, F otherwise.  The relational fold judges inner implications before
+    the ones that enclose them and returns their values in post-order; a
+    second pass over the post-order builds the result from them.
     """
-    return _fold(f, u, Mode.RELATIONAL, rebuild=True)[1]
+    values = iter(_fold(f, u, Mode.RELATIONAL)[1])
+    built: list[Formula] = []
+    for g in subformulas_bottom_up(f):
+        first = len(built) - len(g.children)
+        operands = built[first:]
+        del built[first:]
+        if type(g) is Imp:
+            built.append(TOP if next(values) else BOTTOM)
+        else:
+            built.append(type(g)(*operands) if operands else g)
+    return built[0]
 
 
 _LEAF_SHARE = 0.25  # chance of cutting a branch short of the depth budget

@@ -109,6 +109,10 @@ CASES = [
             stderr="limit error: formula uses 3 distinct letters, limit is 2\n"),
     CliCase("error_lattice_range", ("lattice", "0"), 3,
             stderr="limit error: lattice verification supports 1 <= n <= 4, got 0\n"),
+    CliCase("error_lattice_dot_huge", ("lattice", "99999999999999999999", "--dot"), 3,
+            stderr="limit error: Hasse export supports 1 <= n <= 2, got 99999999999999999999\n"),
+    CliCase("error_lattice_dot_negative", ("lattice", "-1", "--dot"), 3,
+            stderr="limit error: Hasse export supports 1 <= n <= 2, got -1\n"),
     CliCase("error_universe_mismatch",
             ("classify", "p & q", "--universe", "p"), 2,
             stderr="universe error: letters ['q'] not in universe ('p',)\n"),

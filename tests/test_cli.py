@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -335,3 +337,67 @@ def test_letter_limit_setting_has_a_ceiling(monkeypatch):
     )
     monkeypatch.setenv("LOGICREL_MAX_LETTERS", "24")
     assert max_letters() == 24
+
+
+# Pieces of the argv soups below: every subcommand and flag, the edge
+# integers of `lattice`, bad `--universe` lists, good and bad formulas, and
+# tokens that no subcommand takes.
+_SOUP_INTEGERS = ["0", "-1", "1", "2", "5", str(10**20), "x"]
+_SOUP_FORMULAS = ["p", "p -> q", "~p -> (p -> q)", "p & q -> p", "(p -> q) | (q -> p)",
+                  "¬p → (p → q)", "⊤ ∧ ⊥", "T", "F", "a1 & b_2 | ~c", "q -> ~(p -> r)"]
+_SOUP_BAD_FORMULAS = ["p -> -> q", "", "(", "p q", "P", "p; q", "(" * 101 + "p" + ")" * 101,
+                      "~" * 101 + "p", " & ".join(f"a{k}" for k in range(21))]
+_SOUP_UNIVERSES = ["p,q,r", "p, q,r,a1,b_2,c", "p", "", ",", "p,,q", "p,p", "P", "1a", "p;q",
+                   ",".join(f"a{k}" for k in range(21))]
+_SOUP_JUNK = ["frobnicate", "--", "-x", "--dot", "--mode", "--universe", "--corpus", "--help"]
+_SOUP_LIMITS = ["abc", "0", "25"]  # or unset, in half of the soups
+
+
+def _soup(rng, missing):
+    """One seeded argv, stdin and letter-limit setting, drawn from the pieces above.
+
+    Most soups are a subcommand with its operands and some of its flags, so
+    that they get past argparse; the rest miss an operand or add junk.
+    """
+    command = rng.choice([*cli.COMMANDS, "lattice"])
+    spec = cli.COMMANDS.get(command)
+
+    def formula():
+        return rng.choice(_SOUP_BAD_FORMULAS if rng.random() < 0.2 else _SOUP_FORMULAS)
+
+    flags = {"--json": []}
+    if spec is None:
+        argv = [command, rng.choice(_SOUP_INTEGERS)]
+        flags["--dot"] = []
+    else:
+        argv = [command] + [formula() for _ in spec.operands]
+        flags["--universe"] = [rng.choice(_SOUP_UNIVERSES)]
+        if spec.mode is None:
+            flags["--mode"] = [rng.choice(["material", "relational", "bogus"])]
+        if spec.corpus and rng.random() < 0.3:
+            argv = [command, "--corpus", rng.choice(["-", "-", str(missing), str(missing.parent)])]
+    for flag, value in flags.items():
+        if rng.random() < 0.3:
+            argv += [flag, *value]
+    if rng.random() < 0.1:
+        del argv[rng.randrange(1, len(argv))]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_SOUP_JUNK))
+    lines = [" ; ".join(formula() for _ in range(rng.randrange(1, 4))) if rng.random() < 0.9
+             else "# comment" for _ in range(rng.randrange(4))]
+    stdin = rng.choice([None, io.StringIO("\n".join(lines))])
+    return argv, stdin, rng.choice(_SOUP_LIMITS) if rng.random() < 0.5 else None
+
+
+def test_argv_soups_exit_per_the_contract(monkeypatch, tmp_path):
+    rng = random.Random(4)
+    missing = tmp_path / "missing.txt"
+    for _ in range(2000):
+        argv, stdin, limit = _soup(rng, missing)
+        if limit is None:
+            monkeypatch.delenv("LOGICREL_MAX_LETTERS", raising=False)
+        else:
+            monkeypatch.setenv("LOGICREL_MAX_LETTERS", limit)
+        code, _, err = run(argv, stdin)
+        assert code in (0, 1, 2, 3), (argv, limit)
+        assert "Traceback" not in err, (argv, limit)

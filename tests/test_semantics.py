@@ -76,9 +76,16 @@ class TestEliminateImplications:
         f = parse("~(p & q) | (p -> q)")
         assert eliminate_implications(f, u_pq) == Or(Not(And(P, Q)), BOTTOM)
 
-    def test_universe_mismatch(self):
+    # The stray letter sits inside an implication, outside every implication,
+    # or in a formula with none: the fold's checks run before any is judged.
+    @pytest.mark.parametrize("text, letters", [
+        ("p -> q", ("p",)),
+        ("p & (q -> q)", ("q",)),
+        ("r", ("p",)),
+    ], ids=["inside", "outside", "no_implication"])
+    def test_universe_mismatch(self, text, letters):
         with pytest.raises(UniverseMismatch):
-            eliminate_implications(parse("p -> q"), Universe(("p",)))
+            eliminate_implications(parse(text), Universe(letters))
 
     def test_letter_limit(self, monkeypatch):
         f = parse("p -> q")
