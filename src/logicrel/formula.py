@@ -5,9 +5,9 @@ holds its subformulas in one tuple, `children`.  Structural equality (``==``) is
 syntax identity, distinct from logical equivalence (the equivalence module).
 
 A connective that `parse` returned also holds its tree's post-order and
-letters, so that the walks of one query, for its universe and for each of its
-tables, do not descend into a parsed operand again (`cache_walk`).  The
-cached order leaves out the root, so nothing in it refers back to the node
+letters, so that the one walk, `subformulas_bottom_up`, does not descend into
+a parsed operand again for the universe or any table of a query (`cache_walk`).
+The cached order leaves out the root, so nothing in it refers back to the node
 that holds it: a parsed tree has no reference cycle and is freed by reference
 counting alone.  No other node holds a walk: not TOP, BOTTOM or a Letter,
 which may be shared, not a parsed tree's inner nodes, which would cost memory
@@ -190,17 +190,19 @@ def join_rope(rope: "str | list") -> str:
     return "".join(pieces)
 
 
-def post_order(f: Formula) -> tuple[list[Formula], list[str]]:
-    """f's subformulas in post-order, and its letter names left to right.
+def subformulas_bottom_up(f: Formula) -> list[Formula]:
+    """All subformulas in post-order (duplicates retained); f itself is last.
 
-    The one walk over formulas, on an explicit stack.  A root that `parse`
-    returned holds its tree's post-order and letters (see `cache_walk`), so
-    the walk splices those in and does not descend into it: a query that
-    combines parsed operands, like `And(a, Not(b))`, visits only the nodes
-    above them.  The names may repeat, except within a spliced tree.
+    The one walk over formulas, on an explicit stack.  Every other walker
+    folds over this list, popping one value per child of each node off a
+    value stack.  A root that `parse` returned holds its tree's post-order
+    (see `cache_walk`), so the walk splices that in and does not descend into
+    it: a query that combines parsed operands, like `And(a, Not(b))`, visits
+    only the nodes above them.  The cached order leaves out that root, so it
+    holds no reference cycle.  Other trees, built by the constructors, by
+    unpickling or by copying, are walked node by node.
     """
     out: list[Formula] = []
-    names: list[str] = []
     stack = [f]
     while stack:
         g = stack.pop()
@@ -211,36 +213,23 @@ def post_order(f: Formula) -> tuple[list[Formula], list[str]]:
             raise TypeError(f"not a formula: {g!r}") from None
         if cached is not None:
             out += reversed(cached[0])
-            names += reversed(cached[1])
-        elif type(g) is Letter:
-            names.append(g.name)
         else:
             stack.extend(g.children)
     out.reverse()  # node, right, left reversed is left, right, node
-    names.reverse()
-    return out, names
-
-
-def subformulas_bottom_up(f: Formula) -> list[Formula]:
-    """All subformulas in post-order (duplicates retained); f itself is last.
-
-    Every other walker folds over this list, popping one value per child of
-    each node off a value stack.  Only a connective that `parse` returned
-    carries a cached walk, which is spliced in; it leaves out that root, so
-    it holds no reference cycle.  Other trees, built by the constructors, by
-    unpickling or by copying, are walked node by node.
-    """
-    return post_order(f)[0]
-
-
-def letters(f: Formula) -> set[str]:
-    """Set of letter names occurring in f; empty for constant formulas."""
-    return set(post_order(f)[1])
+    return out
 
 
 def letter_sequence(f: Formula) -> list[str]:
     """Letter names in first-occurrence (left-to-right) order, deduplicated."""
-    return list(dict.fromkeys(post_order(f)[1]))
+    cached = getattr(f, "_walk", None)  # a parsed root's (cache_walk); a non-formula fails the walk
+    if cached is not None:
+        return list(cached[1])
+    return list(dict.fromkeys(g.name for g in subformulas_bottom_up(f) if type(g) is Letter))
+
+
+def letters(f: Formula) -> set[str]:
+    """Set of letter names occurring in f; empty for constant formulas."""
+    return set(letter_sequence(f))
 
 
 def max_imp_depth(f: Formula) -> int:

@@ -8,10 +8,11 @@ its value global (the same at every interpretation) and a function of the
 operands' relational tables a and b alone: all rows if a & b == a, else none.
 
 So one bottom-up pass over the formula computes its table in either mode, the
-two differing only at implication nodes.  truth_table is that pass, pointwise
-evaluation reads one row of it, and in relational mode the pass also returns
-each implication's value in post-order.  eliminate_implications builds the
-formula again from that list, with each implication replaced by T or F.
+two differing only at implication nodes.  truth_table is that pass over
+subformulas_bottom_up, pointwise evaluation reads one row of it, and in
+relational mode the pass also returns each implication's value in post-order.
+eliminate_implications builds the formula again from that list, with each
+implication replaced by T or F.
 
 An implication's table is a constant, so it reads no letters, and its verdict
 depends only on the letters its operands read.  Relational mode therefore
@@ -49,7 +50,6 @@ from .formula import (
     Or,
     Top,
     Universe,
-    post_order,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -58,6 +58,12 @@ from .limits import check_letters
 class Mode(Enum):
     MATERIAL = "material"
     RELATIONAL = "relational"
+
+
+def _check_row(universe: Universe, row: int) -> None:
+    """Refuse a row index that names no interpretation of the universe."""
+    if not 0 <= row < 1 << len(universe):
+        raise ValueError(f"row {row} out of range for {len(universe)} letters")
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,7 @@ class Interpretation:
 
     @classmethod
     def from_index(cls, universe: Universe, row: int) -> "Interpretation":
+        _check_row(universe, row)
         return cls(universe, tuple(bool((row >> k) & 1) for k in range(len(universe))))
 
     @classmethod
@@ -115,6 +122,7 @@ class TruthTable:
         return (1 << (1 << len(self.universe))) - 1
 
     def value_at(self, row: int) -> bool:
+        _check_row(self.universe, row)
         return bool((self.bits >> row) & 1)
 
     @property
@@ -139,6 +147,7 @@ class TruthTable:
 
     def row_bits(self, row: int) -> str:
         """Row assignment as one 0/1 character per letter, universe order."""
+        _check_row(self.universe, row)
         return "".join("1" if (row >> k) & 1 else "0" for k in range(len(self.universe)))
 
     def render_text(self) -> str:
@@ -205,7 +214,7 @@ def _local_runs(
     the cached patterns truncated to their low 2^k rows, the context's r-th
     letter in universe order at pattern r; all of u keeps them whole.
     """
-    bit_of = {name: 1 << k for k, name in enumerate(u.letters) if name in pattern_of}
+    bit_of = {name: 1 << k for k, name in enumerate(u.letters)}
     reads: list[int] = []  # the letters each pending subformula reads
     starts: list[int] = []  # the post-order position where each pending subformula starts
     imps: list[tuple[int, int, int]] = []  # (start, position, operand letters) of each implication
@@ -267,49 +276,50 @@ def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
     """The evaluator: f's table over u, each node's bits from its children's on a stack.
 
     Also returns the value of each relational implication, mask or 0, in
-    post-order; in material mode that list is empty.
+    post-order; in material mode that list is empty.  A letter outside u fails
+    its lookup, here or in _local_runs, and only then is the order scanned.
     """
-    order, occurrences = post_order(f)
-    names = set(occurrences)
-    missing = names.difference(u.letters)
-    if missing:
-        raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
+    order = subformulas_bottom_up(f)
     n_letters = len(u)
     check_letters(n_letters, "universe has {} letters")
-    # Patterns only after the limit check, which bounds their size, and only if a letter needs one.
-    patterns = _letter_patterns(n_letters) if names else ()
-    pattern_of = {name: patterns[u.position(name)] for name in names}
+    # Patterns only after the limit check, which bounds their size.
+    patterns = _letter_patterns(n_letters)
+    pattern_of = dict(zip(u.letters, patterns))
     mask = (1 << (1 << n_letters)) - 1
     relational = m is Mode.RELATIONAL
-    if relational and n_letters >= _LOCAL_MIN_LETTERS:
-        runs = _local_runs(order, u, patterns, mask, pattern_of)
-    else:
-        runs = ((order, mask, pattern_of),)
     bits: list[int] = []
     values: list[int] = []
-    for run, mask, pattern_of in runs:
-        for g in run:
-            kind = type(g)
-            if kind is Letter:
-                value = pattern_of[g.name]
-            elif kind is Top:
-                value = mask
-            elif kind is Bottom:
-                value = 0
-            elif kind is Not:
-                value = mask ^ bits.pop()
-            else:
-                b, a = bits.pop(), bits.pop()
-                if kind is And:
-                    value = a & b
-                elif kind is Or:
-                    value = a | b
-                elif relational:
-                    value = mask if le(a, b) else 0
-                    values.append(value)
+    try:
+        if relational and n_letters >= _LOCAL_MIN_LETTERS:
+            runs = _local_runs(order, u, patterns, mask, pattern_of)
+        else:
+            runs = ((order, mask, pattern_of),)
+        for run, mask, pattern_of in runs:
+            for g in run:
+                kind = type(g)
+                if kind is Letter:
+                    value = pattern_of[g.name]
+                elif kind is Top:
+                    value = mask
+                elif kind is Bottom:
+                    value = 0
+                elif kind is Not:
+                    value = mask ^ bits.pop()
                 else:
-                    value = (mask ^ a) | b
-            bits.append(value)
+                    b, a = bits.pop(), bits.pop()
+                    if kind is And:
+                        value = a & b
+                    elif kind is Or:
+                        value = a | b
+                    elif relational:
+                        value = mask if le(a, b) else 0
+                        values.append(value)
+                    else:
+                        value = (mask ^ a) | b
+                bits.append(value)
+    except KeyError:
+        missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
+        raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}") from None
     return bits[0], values
 
 

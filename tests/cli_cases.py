@@ -116,4 +116,7 @@ CASES = [
     CliCase("error_universe_mismatch",
             ("classify", "p & q", "--universe", "p"), 2,
             stderr="universe error: letters ['q'] not in universe ('p',)\n"),
+    CliCase("error_universe_mismatch_two_letters",
+            ("relate", "z & (y -> a)", "(z -> y) -> a", "--universe", "a"), 2,
+            stderr="universe error: letters ['y', 'z'] not in universe ('a',)\n"),
 ]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from logicrel import semantics
+from logicrel.equivalence import default_universe
 from logicrel.errors import LimitError, UniverseMismatch
 from logicrel.formula import (
     BOTTOM,
@@ -14,9 +16,11 @@ from logicrel.formula import (
     Not,
     Or,
     Universe,
+    letters,
     max_imp_depth,
+    subformulas_bottom_up,
 )
-from logicrel.parser import parse
+from logicrel.parser import parse, render
 from logicrel.semantics import (
     Interpretation,
     Mode,
@@ -234,11 +238,51 @@ class TestInterpretation:
         assert str(exc.value) == "letter 'r' not in universe ('p', 'q')"
 
 
-def test_table_of_a_non_formula_is_refused():
-    for f in ("p", Not("p")):
-        with pytest.raises(TypeError) as exc:
-            truth_table(f, Universe(()), Mode.MATERIAL)
-        assert str(exc.value) == "not a formula: 'p'"
+# Each entry point hands "p", or a node over it, to the one walk, which refuses it.
+@pytest.mark.parametrize("call", [
+    lambda: truth_table("p", Universe(()), Mode.MATERIAL),
+    lambda: truth_table(Not("p"), Universe(()), Mode.MATERIAL),
+    lambda: subformulas_bottom_up("p"),
+    lambda: letters("p"),
+    lambda: Universe.of("p"),
+    lambda: default_universe("p"),
+    lambda: render("p"),
+    lambda: hash(Not("p")),
+], ids=["truth_table", "truth_table_of_not", "subformulas_bottom_up", "letters", "Universe.of",
+        "default_universe", "render", "hash_of_not"])
+def test_table_of_a_non_formula_is_refused(call):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == "not a formula: 'p'"
+
+
+LETTERS_17 = tuple("abcdefghijklmnopq")
+
+
+# At 17 letters a relational fold raises from _local_runs, every other fold from its loop.
+@pytest.mark.parametrize("letters_of_u", [("a",), LETTERS_17], ids=["1_letter", "17_letters"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("text", ["z & (y -> a)", "(z -> y) -> a"])
+def test_stray_letters_are_named_in_sorted_order(text, mode, letters_of_u):
+    assert semantics._LOCAL_MIN_LETTERS <= len(LETTERS_17)
+    u = Universe(letters_of_u)
+    with pytest.raises(UniverseMismatch) as exc:
+        truth_table(parse(text), u, mode)
+    assert str(exc.value) == f"letters ['y', 'z'] not in universe {u.letters}"
+
+
+@pytest.mark.parametrize("row", [-1, 4, 7, 9])
+@pytest.mark.parametrize("call", [
+    lambda u, row: Interpretation.from_index(u, row),
+    lambda u, row: TruthTable(u, 0b0110).value_at(row),
+    lambda u, row: TruthTable(u, 0b0110).row_bits(row),
+], ids=["from_index", "value_at", "row_bits"])
+def test_row_outside_the_table_is_refused(u_pq, call, row):
+    with pytest.raises(ValueError) as exc:
+        call(u_pq, row)
+    assert str(exc.value) == f"row {row} out of range for 2 letters"
+    for row in range(4):  # every row of the table is accepted
+        call(u_pq, row)
 
 
 class TestGenRandomFormula:
@@ -253,8 +297,6 @@ class TestGenRandomFormula:
         assert a == b
 
     def test_depth_bound_and_letter_scope(self, u_pq):
-        from logicrel.formula import letters
-
         for seed in range(200):
             f = gen_random_formula(3, u_pq, seed=seed)
             assert node_depth(f) <= 3
