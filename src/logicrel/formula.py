@@ -248,6 +248,8 @@ class Universe:
     letters: tuple[str, ...]
 
     def __init__(self, letters: "tuple[str, ...] | list[str]"):
+        if isinstance(letters, str):  # ("pq") for ("pq",) would split into letters
+            raise TypeError(f"universe letters must be a sequence of names, not the string {letters!r}")
         letters = tuple(letters)
         for name in letters:
             if not LETTER_NAME.match(name):

@@ -15,15 +15,17 @@ eliminate_implications builds the formula again from that list, with each
 implication replaced by T or F.
 
 An implication's table is a constant, so it reads no letters, and its verdict
-depends only on the letters its operands read.  Relational mode therefore
-folds each implication's operands over those letters alone, on tables
-2^(|u| - k) times smaller.  This is the paper's equation unchanged: a table
-over u is the cylindrical extension of the same formula's table over any
-universe that holds its letters, and le(x, y) holds of two tables iff it holds
-of their extensions.  The pre-passes that find each node's letters cost more
-than they save on narrow universes, so this applies only from
-_LOCAL_MIN_LETTERS letters on, the measured crossover; narrower universes and
-material mode fold every node over all of u.
+depends only on the letters its operands read.  Below _LOCAL_MIN_LETTERS
+letters, the measured crossover, relational mode decides each implication
+inline in the pass over all of u.  From the gate on, it decides each one in
+place where the walk reaches it, innermost first: its operands, already free
+of implications, are evaluated over their own letters alone, on tables
+2^(|u| - k) times smaller, and the implication is replaced by T or F; the pass
+over all of u then evaluates what is left classically.  This is the paper's
+equation unchanged: a table over u is the cylindrical extension of the same
+formula's table over any universe that holds its letters, and le(x, y) holds
+of two tables iff it holds of their extensions.  Material mode always folds
+every node over all of u.
 
 Truth tables are stored as int bit vectors: bit i is the value at row i, and
 row i assigns letter k true iff bit k of i is set.
@@ -190,94 +192,110 @@ def _letter_patterns(n_letters: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-# Relational folds over at least this many letters evaluate each implication's
-# operands over the operands' own letters.  Below it the pre-passes of
-# _local_runs cost more than the narrower big-int operations save.  Per size,
-# the median over 40 wide20-shaped formulas (every letter once, 10 constants,
-# a third of the binary connectives implications) of each relational table's
-# best time, whole universe / letter-local, in µs, three rounds, Python 3.11.7
-# on a shared 2-core x86-64 host: 12 letters 19-21/39-42, 14 letters
-# 24-32/43-47, 16 letters 43-45/54, 17 letters 62-64/56-65, 18 letters
-# 103-115/68-85, 20 letters 450-481/175-240.
+# Relational folds over at least this many letters decide each implication in
+# place, over its operands' own letters.  Below it a helper call and the
+# context bookkeeping per implication cost more than the narrower big-int
+# operations save.  Per size, the median over 40 wide20-shaped formulas (every
+# letter once, 10 constants, a third of the binary connectives implications)
+# of each relational table's best time, whole universe / in place, in µs,
+# three rounds, Python 3.11.7 on a shared 2-core x86-64 host: 12 letters
+# 13-24/27-50, 14 letters 19-36/33-59, 16 letters 35-59/39-69, 17 letters
+# 58-95/48-85, 18 letters 103-157/63-103, 20 letters 480-637/148-218.
 _LOCAL_MIN_LETTERS = 17
 
 
-def _local_runs(
-    order: list[Formula], u: Universe, patterns: tuple[int, ...], mask: int, pattern_of: dict[str, int],
-) -> list[tuple[list[Formula], int, dict[str, int]]]:
-    """Split the post-order into runs of nodes sharing a context, each with its mask and patterns.
+def _evaluate(
+    nodes: list[Formula], mask: int, pattern_of: dict[str, int], relational: bool, values: list[int],
+) -> list[int]:
+    """The node loop: each node's bits from its children's on a stack, which is returned.
 
-    A node's context is the set of universe positions its table is folded
-    over, as a bitmask.  An implication's operands take the letters the
-    operands read, where an implication reads none; every other node takes
-    its parent's context, and the root all of u.  A context of k letters uses
-    the cached patterns truncated to their low 2^k rows, the context's r-th
-    letter in universe order at pattern r; all of u keeps them whole.
+    Appends each relational implication's value, mask or 0, to `values`.
+    """
+    bits: list[int] = []
+    for g in nodes:
+        kind = type(g)
+        if kind is Letter:
+            value = pattern_of[g.name]
+        elif kind is Top:
+            value = mask
+        elif kind is Bottom:
+            value = 0
+        elif kind is Not:
+            value = mask ^ bits.pop()
+        else:
+            b, a = bits.pop(), bits.pop()
+            if kind is And:
+                value = a & b
+            elif kind is Or:
+                value = a | b
+            elif relational:
+                value = mask if le(a, b) else 0
+                values.append(value)
+            else:
+                value = (mask ^ a) | b
+        bits.append(value)
+    return bits
+
+
+def _decide_implications(
+    order: list[Formula], u: Universe, patterns: tuple[int, ...], mask: int, values: list[int],
+) -> list[Formula]:
+    """The post-order with each relational implication replaced by T or F, innermost first.
+
+    An implication is decided where the walk reaches it, by evaluating its two
+    operands, already free of implications, over its context: the letters
+    they read, as a bitmask of universe positions.  A context of k letters
+    uses the cached patterns truncated to their low 2^k rows, the context's
+    r-th letter in universe order at pattern r.  Each value, mask or 0 over
+    all of u, is appended to `values`.
     """
     bit_of = {name: 1 << k for k, name in enumerate(u.letters)}
+    local: dict[int, tuple[int, dict[str, int]]] = {}  # context -> (mask, patterns)
+    out: list[Formula] = []
     reads: list[int] = []  # the letters each pending subformula reads
-    starts: list[int] = []  # the post-order position where each pending subformula starts
-    imps: list[tuple[int, int, int]] = []  # (start, position, operand letters) of each implication
-    for i, g in enumerate(order):
+    starts: list[int] = []  # where each pending subformula starts in out
+    for g in order:
         kind = type(g)
         if kind is Letter:
             reads.append(bit_of[g.name])
-            starts.append(i)
+            starts.append(len(out))
         elif kind is Top or kind is Bottom:
             reads.append(0)
-            starts.append(i)
+            starts.append(len(out))
         elif kind is not Not:
             right = reads.pop()
             starts.pop()
             if kind is Imp:
-                imps.append((starts[-1], i, reads[-1] | right))
+                context = reads[-1] | right
+                if context not in local:
+                    local_mask = (1 << (1 << context.bit_count())) - 1
+                    local_patterns = {}
+                    rest = context
+                    while rest:
+                        low = rest & -rest
+                        name = u.letters[low.bit_length() - 1]
+                        local_patterns[name] = patterns[len(local_patterns)] & local_mask
+                        rest ^= low
+                    local[context] = local_mask, local_patterns
+                start = starts[-1]  # out[start:] is the two operands, free of implications
+                a, b = _evaluate(out[start:], *local[context], True, values)
+                holds = le(a, b)
+                out[start:] = (TOP if holds else BOTTOM,)
+                values.append(mask if holds else 0)
                 reads[-1] = 0
-            else:
-                reads[-1] |= right
-    if not imps:
-        return [(order, mask, pattern_of)]
-    # Right to left over the implications, outer before inner: each one's
-    # operands, from its start up to its own position, are a region of its
-    # operand letters inside the region that holds the implication itself.
-    everything = (1 << len(u)) - 1
-    spans: list[tuple[int, int, int]] = []  # (start, stop, context), right to left
-    regions = [(0, everything)]  # (start, context) of the regions that hold the cursor
-    cursor = len(order)
-    for start, at, context in reversed(imps):
-        while regions[-1][0] > at:
-            region_start, region_context = regions.pop()
-            if region_start < cursor:
-                spans.append((region_start, cursor, region_context))
-                cursor = region_start
-        spans.append((at, cursor, regions[-1][1]))
-        cursor = at
-        regions.append((start, context))
-    for region_start, region_context in reversed(regions):
-        if region_start < cursor:
-            spans.append((region_start, cursor, region_context))
-            cursor = region_start
-    local = {everything: (mask, pattern_of)}  # the whole universe keeps its untruncated patterns
-    runs = []
-    for start, stop, context in reversed(spans):
-        if context not in local:
-            local_mask = (1 << (1 << context.bit_count())) - 1
-            local_patterns = {}
-            rest = context
-            while rest:
-                low = rest & -rest
-                local_patterns[u.letters[low.bit_length() - 1]] = patterns[len(local_patterns)] & local_mask
-                rest ^= low
-            local[context] = local_mask, local_patterns
-        runs.append((order[start:stop], *local[context]))
-    return runs
+                continue
+            reads[-1] |= right
+        out.append(g)
+    return out
 
 
 def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
-    """The evaluator: f's table over u, each node's bits from its children's on a stack.
+    """The evaluator: f's table over u, and its relational implications' values in post-order.
 
-    Also returns the value of each relational implication, mask or 0, in
-    post-order; in material mode that list is empty.  A letter outside u fails
-    its lookup, here or in _local_runs, and only then is the order scanned.
+    Each value is mask or 0.  Relational mode decides each implication inline
+    in the node loop below the gate, and in place over its operands' letters
+    from the gate on; in material mode the list of values is empty.  A letter
+    outside u fails its lookup, and only then is the walk of f scanned.
     """
     order = subformulas_bottom_up(f)
     n_letters = len(u)
@@ -287,36 +305,12 @@ def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
     pattern_of = dict(zip(u.letters, patterns))
     mask = (1 << (1 << n_letters)) - 1
     relational = m is Mode.RELATIONAL
-    bits: list[int] = []
     values: list[int] = []
     try:
+        nodes = order
         if relational and n_letters >= _LOCAL_MIN_LETTERS:
-            runs = _local_runs(order, u, patterns, mask, pattern_of)
-        else:
-            runs = ((order, mask, pattern_of),)
-        for run, mask, pattern_of in runs:
-            for g in run:
-                kind = type(g)
-                if kind is Letter:
-                    value = pattern_of[g.name]
-                elif kind is Top:
-                    value = mask
-                elif kind is Bottom:
-                    value = 0
-                elif kind is Not:
-                    value = mask ^ bits.pop()
-                else:
-                    b, a = bits.pop(), bits.pop()
-                    if kind is And:
-                        value = a & b
-                    elif kind is Or:
-                        value = a | b
-                    elif relational:
-                        value = mask if le(a, b) else 0
-                        values.append(value)
-                    else:
-                        value = (mask ^ a) | b
-                bits.append(value)
+            nodes = _decide_implications(order, u, patterns, mask, values)
+        bits = _evaluate(nodes, mask, pattern_of, relational, values)
     except KeyError:
         missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
         raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}") from None

@@ -48,6 +48,7 @@ def run_case(case: CliCase) -> tuple[int, str, str]:
 
 _CORPUS_FORMULAS = str(GOLDEN_DIR / "corpus_formulas.txt")
 _CORPUS_PAIRS = str(GOLDEN_DIR / "corpus_pairs.txt")
+_LETTERS_17 = ",".join(f"x{k}" for k in range(17))
 
 CASES = [
     # classify: exit 0 on a tautology, 1 otherwise
@@ -87,6 +88,12 @@ CASES = [
     CliCase("audit_default", ("audit",), 0),
     CliCase("audit_same_letter", ("audit", "p", "p"), 0),
     CliCase("audit_json", ("audit", "--json"), 0),
+    # universes from semantics._LOCAL_MIN_LETTERS (17) letters on decide implications in place
+    CliCase("audit_17_letters_json", ("audit", "x0", "x1", "--universe", _LETTERS_17, "--json"), 0),
+    CliCase("classify_17_letters_relational",
+            ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17), 1),
+    CliCase("classify_17_letters_material",
+            ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17, "--mode", "material"), 0),
     # lattice and the DOT export
     CliCase("lattice_1", ("lattice", "1"), 0),
     CliCase("lattice_2_json", ("lattice", "2", "--json"), 0),

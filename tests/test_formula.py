@@ -84,6 +84,12 @@ def test_universe_rejects_duplicates_and_bad_names():
         Universe(("Q",))
 
 
+@pytest.mark.parametrize("letters", ["pq", "row_1", ""])
+def test_universe_refuses_a_string(letters):
+    with pytest.raises(TypeError, match="^universe letters must be a sequence of names, not the string "):
+        Universe(letters)
+
+
 def test_universe_letter_limit(monkeypatch):
     monkeypatch.setenv("LOGICREL_MAX_LETTERS", "3")
     Universe(("a", "b", "c"))

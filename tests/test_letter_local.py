@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from logicrel import semantics
-from logicrel.formula import Universe, max_imp_depth, subformulas_bottom_up
+from logicrel.formula import Universe, max_imp_depth
 from logicrel.parser import parse
 from logicrel.semantics import Mode, eliminate_implications, gen_random_formula, truth_table
 
@@ -80,21 +80,13 @@ CONTEXTS = [
 def test_local_contexts_match_oracle_with_the_gate_at_0(monkeypatch, text, letters):
     monkeypatch.setattr(semantics, "_LOCAL_MIN_LETTERS", 0)
     f = parse(text)
-    t = truth_table(f, Universe(letters), Mode.RELATIONAL)
-    assert [t.value_at(row) for row in range(t.rows)] == oracle_table(f, letters)
-
-
-@pytest.mark.parametrize("text,letters", CONTEXTS)
-def test_local_runs_are_nonempty_and_cover_the_post_order(text, letters):
-    f = parse(text)
     u = Universe(letters)
-    order = subformulas_bottom_up(f)
-    patterns = semantics._letter_patterns(len(u))
-    mask = (1 << (1 << len(u))) - 1
-    pattern_of = {name: patterns[u.position(name)] for name in letters}
-    runs = semantics._local_runs(order, u, patterns, mask, pattern_of)
-    assert all(run for run, _, _ in runs)
-    assert [g for run, _, _ in runs for g in run] == order
+    t = truth_table(f, u, Mode.RELATIONAL)
+    assert [t.value_at(row) for row in range(t.rows)] == oracle_table(f, letters)
+    # The values come back in post-order on every nesting shape, decided in place or inline.
+    rebuilt = eliminate_implications(f, u)
+    monkeypatch.setattr(semantics, "_LOCAL_MIN_LETTERS", 99)
+    assert eliminate_implications(f, u) == rebuilt
 
 
 @pytest.mark.parametrize("n_letters", range(5))
@@ -145,9 +137,9 @@ def test_letter_local_table_equals_whole_universe_fold_at_20_letters(monkeypatch
 
 def test_gate_leaves_narrow_and_material_folds_whole(monkeypatch):
     def refuse(*args):
-        raise AssertionError("letter-local runs below the gate or in material mode")
+        raise AssertionError("implications decided in place below the gate or in material mode")
 
-    monkeypatch.setattr(semantics, "_local_runs", refuse)
+    monkeypatch.setattr(semantics, "_decide_implications", refuse)
     f = parse("(x0 -> x1) & x2")
     narrow = Universe(tuple(f"x{k}" for k in range(semantics._LOCAL_MIN_LETTERS - 1)))
     assert truth_table(f, narrow, Mode.RELATIONAL).bits == 0

@@ -259,7 +259,7 @@ def test_table_of_a_non_formula_is_refused(call):
 LETTERS_17 = tuple("abcdefghijklmnopq")
 
 
-# At 17 letters a relational fold raises from _local_runs, every other fold from its loop.
+# At 17 letters a relational fold raises from _decide_implications, every other fold from _evaluate.
 @pytest.mark.parametrize("letters_of_u", [("a",), LETTERS_17], ids=["1_letter", "17_letters"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("text", ["z & (y -> a)", "(z -> y) -> a"])
