@@ -197,7 +197,7 @@ def subformulas_bottom_up(f: Formula) -> list[Formula]:
     folds over this list, popping one value per child of each node off a
     value stack.  A root that `parse` returned holds its tree's post-order
     (see `cache_walk`), so the walk splices that in and does not descend into
-    it: a query that combines parsed operands, like `And(a, Not(b))`, visits
+    it: a query that combines parsed operands, like an `audit` schema, visits
     only the nodes above them.  The cached order leaves out that root, so it
     holds no reference cycle.  Other trees, built by the constructors, by
     unpickling or by copying, are walked node by node.

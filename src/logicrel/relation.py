@@ -1,11 +1,11 @@
 """The implication relation proper.
 
 An implication between two formulas holds exactly when their conjunction is
-logically equivalent to the first formula.  This module exposes that relation
-directly (implies_rel), the three equivalent criteria for it, the disjoint /
-joint / inclusion classifier, an auditor that contrasts the material and
-relational fate of the classic implication paradox schemas, and a brute-force
-verifier that the relation orders truth-table classes into a bounded lattice.
+logically equivalent to the first formula.  This module reads that relation
+(implies_rel), its three equivalent criteria and the disjoint / joint /
+inclusion classifier from the two operands' relational tables; it also audits
+the classic paradox schemas under both modes, and verifies by brute force that
+the relation orders truth-table classes into a bounded lattice.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .equivalence import default_universe, equivalent, is_contradiction, is_tautology
+from .equivalence import default_universe
 from .errors import LimitError
-from .formula import And, Formula, Imp, Not, Or, Universe
+from .formula import Formula, Imp, Not, Or, Universe
 from .semantics import Interpretation, Mode, le, truth_table
 
 
@@ -25,11 +25,11 @@ from .semantics import Interpretation, Mode, le, truth_table
 class CriteriaReport:
     """The three equivalent ways of stating the relation, computed independently.
 
-    and_absorb:  first & second  =  first
-    conj_bottom: first & ~second is a contradiction
-    disj_top:    ~first | second is a tautology
-
-    witness is the lowest row where first & second and first differ, if any.
+    Each is read from the operands' relational tables x and y; mask has every row.
+    and_absorb:  first & second  =  first            le(x, y)
+    conj_bottom: first & ~second is a contradiction  x & (mask ^ y) == 0
+    disj_top:    ~first | second is a tautology      (mask ^ x) | y == mask
+    witness:     the lowest row of x & ~y, where first & second and first differ
     """
 
     and_absorb: bool
@@ -88,20 +88,21 @@ class LatticeReport:
 
 def implies_rel(a: Formula, b: Formula, u: Optional[Universe] = None) -> bool:
     """Does the implication relation hold from a to b over u?"""
-    if u is None:
-        u = default_universe(a, b)
-    return equivalent(And(a, b), a, Mode.RELATIONAL, u).holds
+    return criteria_report(a, b, u).holds
 
 
 def criteria_report(a: Formula, b: Formula, u: Optional[Universe] = None) -> CriteriaReport:
     """Evaluate all three criteria separately and report whether they agree."""
     if u is None:
         u = default_universe(a, b)
-    absorb = equivalent(And(a, b), a, Mode.RELATIONAL, u)
-    conj_bottom = is_contradiction(And(a, Not(b)), Mode.RELATIONAL, u).holds
-    disj_top = is_tautology(Or(Not(a), b), Mode.RELATIONAL, u).holds
-    agree = absorb.holds == conj_bottom == disj_top
-    return CriteriaReport(absorb.holds, conj_bottom, disj_top, agree, absorb.witness)
+    ta = truth_table(a, u, Mode.RELATIONAL)
+    tb = truth_table(b, u, Mode.RELATIONAL)
+    x, y, mask = ta.bits, tb.bits, ta.mask
+    and_absorb = le(x, y)
+    conj_bottom = x & (mask ^ y) == 0
+    disj_top = (mask ^ x) | y == mask
+    agree = and_absorb == conj_bottom == disj_top
+    return CriteriaReport(and_absorb, conj_bottom, disj_top, agree, Interpretation.lowest(u, x & ~y))
 
 
 def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> RelationClass:
@@ -162,14 +163,13 @@ def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> lis
     reports = []
     for schema in _SCHEMAS:
         f = paradox_formula(schema, a, b)
-        material = is_tautology(f, Mode.MATERIAL, u)
         # One relational table gives the status and the lowest false row.
         t = truth_table(f, u, Mode.RELATIONAL)
         reports.append(
             ParadoxReport(
                 schema=schema,
                 formula=f,
-                material_tautology=material.holds,
+                material_tautology=truth_table(f, u, Mode.MATERIAL).is_all_true,
                 relational_tautology=t.is_all_true,
                 relational_status=t.status,
                 relational_witness=Interpretation.lowest(u, t.mask ^ t.bits),

@@ -94,6 +94,8 @@ CASES = [
             ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17), 1),
     CliCase("classify_17_letters_material",
             ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17, "--mode", "material"), 0),
+    CliCase("implies_17_letters_json",
+            ("implies", "x16 & (x0 -> x0)", "x1", "--universe", _LETTERS_17, "--json"), 1),
     # lattice and the DOT export
     CliCase("lattice_1", ("lattice", "1"), 0),
     CliCase("lattice_2_json", ("lattice", "2", "--json"), 0),

@@ -108,13 +108,25 @@ def _tables_built(monkeypatch, argv: list[str]) -> tuple[int, str, int]:
     return code, out, len(calls)
 
 
-def test_implies_builds_four_tables(monkeypatch):
-    # criteria_report builds two tables for and_absorb and one per other
-    # criterion; the witness comes with the and_absorb verdict.
-    code, out, tables = _tables_built(monkeypatch, ["implies", "p & q", "p"])
-    assert code == 0
-    assert out.startswith("holds\n")
-    assert tables == 4
+@pytest.mark.parametrize("command", ["implies", "equiv", "entails", "relate"])
+def test_implies_builds_two_tables(monkeypatch, command):
+    # Every pair command is judged from one table per operand; implies reads
+    # its three criteria and its witness from those two tables.
+    code, out, tables = _tables_built(monkeypatch, [command, "p & q", "p"])
+    assert (code, out.splitlines()[0]) == {
+        "implies": (0, "holds"), "equiv": (1, "fails"), "entails": (0, "holds"),
+        "relate": (0, "inclusion_forward"),
+    }[command]
+    assert tables == 2
+
+
+@pytest.mark.parametrize("command", ["implies", "equiv", "entails", "relate"])
+def test_pair_commands_report_the_first_operands_stray_letters(command):
+    # The first operand's table is built first, so its lookup reports the
+    # letters outside the universe; the second operand is never folded.
+    assert run([command, "x & p", "y", "--universe", "p"]) == (
+        2, "", "universe error: letters ['x'] not in universe ('p',)\n"
+    )
 
 
 def test_audit_builds_six_tables(monkeypatch):

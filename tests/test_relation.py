@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from logicrel import relation
-from logicrel.equivalence import equivalent, is_tautology
+from logicrel import relation, semantics
+from logicrel.equivalence import equivalent, is_contradiction, is_tautology
 from logicrel.errors import LimitError
 from logicrel.formula import And, Imp, Letter, Not, Or, Universe
 from logicrel.parser import parse
@@ -23,7 +23,7 @@ from logicrel.relation import (
     paradox_formula,
     verify_lattice,
 )
-from logicrel.semantics import Mode
+from logicrel.semantics import Mode, gen_random_formula
 
 from strategies import formulas
 
@@ -260,6 +260,32 @@ def test_class_order_agrees_with_implies_rel_on_minterm_formulas():
 @given(formulas(("p", "q")), formulas(("p", "q")))
 def test_criteria_always_agree(a, b):
     assert criteria_report(a, b, U).agree
+
+
+def _assert_criteria_match_composites(a, b, u):
+    """Reference: each criterion as its composite formula, judged on that formula's table."""
+    r = criteria_report(a, b, u)
+    absorb = equivalent(And(a, b), a, Mode.RELATIONAL, u)
+    assert (r.and_absorb, r.witness) == (absorb.holds, absorb.witness)
+    assert r.conj_bottom == is_contradiction(And(a, Not(b)), Mode.RELATIONAL, u).holds
+    assert r.disj_top == is_tautology(Or(Not(a), b), Mode.RELATIONAL, u).holds
+    assert implies_rel(a, b, u) == absorb.holds
+
+
+@given(formulas(("p", "q")), formulas(("p", "q")))
+def test_criteria_match_the_composite_formulas(a, b):
+    _assert_criteria_match_composites(a, b, U)
+
+
+# From this many letters on (17), relational implications are decided in place.
+U_WIDE = Universe(tuple(f"x{k}" for k in range(semantics._LOCAL_MIN_LETTERS)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_criteria_match_the_composite_formulas_on_the_in_place_path(seed):
+    a = gen_random_formula(5, U_WIDE, seed=2 * seed)
+    b = gen_random_formula(5, U_WIDE, seed=2 * seed + 1)
+    _assert_criteria_match_composites(a, b, U_WIDE)
 
 
 @given(formulas(("p", "q")), formulas(("p", "q")))
