@@ -9,10 +9,9 @@ operands' relational tables a and b alone: all rows if a & b == a, else none.
 
 So one bottom-up pass over the formula computes its table in either mode, the
 two differing only at implication nodes.  truth_table is that pass over
-subformulas_bottom_up, pointwise evaluation reads one row of it, and in
-relational mode the pass also returns each implication's value in post-order.
-eliminate_implications builds the formula again from that list, with each
-implication replaced by T or F.
+subformulas_bottom_up, and pointwise evaluation reads one row of it.
+eliminate_implications is the post-order with each implication decided in
+place, as below, at every universe size, built again into a formula.
 
 An implication's table is a constant, so it reads no letters, and its verdict
 depends only on the letters its operands read.  Below _LOCAL_MIN_LETTERS
@@ -204,13 +203,8 @@ def _letter_patterns(n_letters: int) -> tuple[int, ...]:
 _LOCAL_MIN_LETTERS = 17
 
 
-def _evaluate(
-    nodes: list[Formula], mask: int, pattern_of: dict[str, int], relational: bool, values: list[int],
-) -> list[int]:
-    """The node loop: each node's bits from its children's on a stack, which is returned.
-
-    Appends each relational implication's value, mask or 0, to `values`.
-    """
+def _evaluate(nodes: list[Formula], mask: int, pattern_of: dict[str, int], relational: bool) -> list[int]:
+    """The node loop: each node's bits from its children's on a stack, which is returned."""
     bits: list[int] = []
     for g in nodes:
         kind = type(g)
@@ -230,25 +224,22 @@ def _evaluate(
                 value = a | b
             elif relational:
                 value = mask if le(a, b) else 0
-                values.append(value)
             else:
                 value = (mask ^ a) | b
         bits.append(value)
     return bits
 
 
-def _decide_implications(
-    order: list[Formula], u: Universe, patterns: tuple[int, ...], mask: int, values: list[int],
-) -> list[Formula]:
+def _decide_implications(order: list[Formula], u: Universe) -> list[Formula]:
     """The post-order with each relational implication replaced by T or F, innermost first.
 
     An implication is decided where the walk reaches it, by evaluating its two
     operands, already free of implications, over its context: the letters
     they read, as a bitmask of universe positions.  A context of k letters
-    uses the cached patterns truncated to their low 2^k rows, the context's
-    r-th letter in universe order at pattern r.  Each value, mask or 0 over
-    all of u, is appended to `values`.
+    uses u's patterns, bounded by the caller's limit check, truncated to their
+    low 2^k rows, the context's r-th letter in universe order at pattern r.
     """
+    patterns = _letter_patterns(len(u))
     bit_of = {name: 1 << k for k, name in enumerate(u.letters)}
     local: dict[int, tuple[int, dict[str, int]]] = {}  # context -> (mask, patterns)
     out: list[Formula] = []
@@ -278,10 +269,8 @@ def _decide_implications(
                         rest ^= low
                     local[context] = local_mask, local_patterns
                 start = starts[-1]  # out[start:] is the two operands, free of implications
-                a, b = _evaluate(out[start:], *local[context], True, values)
-                holds = le(a, b)
-                out[start:] = (TOP if holds else BOTTOM,)
-                values.append(mask if holds else 0)
+                a, b = _evaluate(out[start:], *local[context], True)
+                out[start:] = (TOP if le(a, b) else BOTTOM,)
                 reads[-1] = 0
                 continue
             reads[-1] |= right
@@ -289,13 +278,18 @@ def _decide_implications(
     return out
 
 
-def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
-    """The evaluator: f's table over u, and its relational implications' values in post-order.
+def _stray_letters(order: list[Formula], u: Universe) -> UniverseMismatch:
+    """The error for the letters of a walk that u does not hold, named in sorted order."""
+    missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
+    return UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
 
-    Each value is mask or 0.  Relational mode decides each implication inline
-    in the node loop below the gate, and in place over its operands' letters
-    from the gate on; in material mode the list of values is empty.  A letter
-    outside u fails its lookup, and only then is the walk of f scanned.
+
+def _fold(f: Formula, u: Universe, m: Mode) -> int:
+    """The evaluator: f's table over u as a bit vector.
+
+    Relational mode decides each implication inline in the node loop below
+    the gate, and in place over its operands' letters from the gate on.  A
+    letter outside u fails its lookup, and only then is the walk of f scanned.
     """
     order = subformulas_bottom_up(f)
     n_letters = len(u)
@@ -305,20 +299,17 @@ def _fold(f: Formula, u: Universe, m: Mode) -> tuple[int, list[int]]:
     pattern_of = dict(zip(u.letters, patterns))
     mask = (1 << (1 << n_letters)) - 1
     relational = m is Mode.RELATIONAL
-    values: list[int] = []
     try:
         nodes = order
         if relational and n_letters >= _LOCAL_MIN_LETTERS:
-            nodes = _decide_implications(order, u, patterns, mask, values)
-        bits = _evaluate(nodes, mask, pattern_of, relational, values)
+            nodes = _decide_implications(order, u)
+        return _evaluate(nodes, mask, pattern_of, relational)[0]
     except KeyError:
-        missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
-        raise UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}") from None
-    return bits[0], values
+        raise _stray_letters(order, u) from None
 
 
 def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
-    return TruthTable(u, _fold(f, u, m)[0])
+    return TruthTable(u, _fold(f, u, m))
 
 
 def eval_material(f: Formula, i: Interpretation) -> bool:
@@ -340,20 +331,22 @@ def eliminate_implications(f: Formula, u: Universe) -> Formula:
 
     An implication becomes T when antecedent & consequent is logically
     equivalent to the antecedent over u, judged on the operands' relational
-    tables, F otherwise.  The relational fold judges inner implications before
-    the ones that enclose them and returns their values in post-order; a
-    second pass over the post-order builds the result from them.
+    tables, F otherwise.  _decide_implications judges each implication over
+    its operands' own letters, inner ones first, at every size of u; a second
+    pass builds the result from its post-order, with no table over all of u.
     """
-    values = iter(_fold(f, u, Mode.RELATIONAL)[1])
+    order = subformulas_bottom_up(f)
+    check_letters(len(u), "universe has {} letters")
+    try:
+        decided = _decide_implications(order, u)
+    except KeyError:
+        raise _stray_letters(order, u) from None
     built: list[Formula] = []
-    for g in subformulas_bottom_up(f):
+    for g in decided:
         first = len(built) - len(g.children)
         operands = built[first:]
         del built[first:]
-        if type(g) is Imp:
-            built.append(TOP if next(values) else BOTTOM)
-        else:
-            built.append(type(g)(*operands) if operands else g)
+        built.append(type(g)(*operands) if operands else g)
     return built[0]
 
 

@@ -111,6 +111,8 @@ CASES = [
     CliCase("error_parse", ("classify", "p -> -> q"), 2,
             stderr="parse error: unexpected '->' at offset 5, expected one of "
                    "'(', 'F', 'T', '~', letter\n"),
+    CliCase("error_nesting_limit", ("classify", "(" * 101 + "p" + ")" * 101), 3,
+            stderr="limit error: formula nests deeper than 100 levels\n"),
     CliCase("error_missing_operand", ("equiv", "p"), 2,
             stderr="input error: missing operand(s): second\n"),
     CliCase("error_limit_env", ("classify", "p & q & r"), 3,

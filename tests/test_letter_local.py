@@ -83,10 +83,12 @@ def test_local_contexts_match_oracle_with_the_gate_at_0(monkeypatch, text, lette
     u = Universe(letters)
     t = truth_table(f, u, Mode.RELATIONAL)
     assert [t.value_at(row) for row in range(t.rows)] == oracle_table(f, letters)
-    # The values come back in post-order on every nesting shape, decided in place or inline.
+    # eliminate_implications decides in place whatever the gate; below it, its
+    # decisions, read classically, give the table the inline fold gives.
     rebuilt = eliminate_implications(f, u)
     monkeypatch.setattr(semantics, "_LOCAL_MIN_LETTERS", 99)
     assert eliminate_implications(f, u) == rebuilt
+    assert truth_table(rebuilt, u, Mode.MATERIAL) == truth_table(f, u, Mode.RELATIONAL)
 
 
 @pytest.mark.parametrize("n_letters", range(5))
@@ -103,6 +105,7 @@ def test_seeded_formulas_match_oracle_with_the_gate_at_0(monkeypatch, n_letters)
         rebuilt = eliminate_implications(f, u)
         monkeypatch.setattr(semantics, "_LOCAL_MIN_LETTERS", 99)
         assert eliminate_implications(f, u) == rebuilt, f
+        assert truth_table(rebuilt, u, Mode.MATERIAL) == truth_table(f, u, Mode.RELATIONAL), f
         monkeypatch.setattr(semantics, "_LOCAL_MIN_LETTERS", 0)
 
 

@@ -259,7 +259,8 @@ def test_table_of_a_non_formula_is_refused(call):
 LETTERS_17 = tuple("abcdefghijklmnopq")
 
 
-# At 17 letters a relational fold raises from _decide_implications, every other fold from _evaluate.
+# At 17 letters a relational fold raises from _decide_implications, every other fold from
+# _evaluate; eliminate_implications raises from _decide_implications at every size.
 @pytest.mark.parametrize("letters_of_u", [("a",), LETTERS_17], ids=["1_letter", "17_letters"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("text", ["z & (y -> a)", "(z -> y) -> a"])
@@ -268,6 +269,9 @@ def test_stray_letters_are_named_in_sorted_order(text, mode, letters_of_u):
     u = Universe(letters_of_u)
     with pytest.raises(UniverseMismatch) as exc:
         truth_table(parse(text), u, mode)
+    assert str(exc.value) == f"letters ['y', 'z'] not in universe {u.letters}"
+    with pytest.raises(UniverseMismatch) as exc:
+        eliminate_implications(parse(text), u)
     assert str(exc.value) == f"letters ['y', 'z'] not in universe {u.letters}"
 
 
@@ -367,6 +371,12 @@ def test_universe_extension_does_not_change_elimination(f):
     small = Universe(("p", "q"))
     large = Universe(("p", "q", "r", "s"))
     assert eliminate_implications(f, small) == eliminate_implications(f, large)
+
+
+@given(formulas(("p", "q")))
+def test_eliminated_formula_read_classically_is_the_relational_table(f):
+    u = Universe(("p", "q"))
+    assert truth_table(eliminate_implications(f, u), u, Mode.MATERIAL) == truth_table(f, u, Mode.RELATIONAL)
 
 
 def _replace_at(f, path, new):
