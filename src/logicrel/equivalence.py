@@ -63,4 +63,4 @@ def entails(a: Formula, b: Formula, m: Mode, u: Optional[Universe] = None) -> Ve
         u = default_universe(a, b)
     ta = truth_table(a, u, m)
     tb = truth_table(b, u, m)
-    return _verdict(u, ta.bits & ~tb.bits)
+    return _verdict(u, ta.bits & (ta.mask ^ tb.bits))

@@ -18,7 +18,7 @@ from typing import Optional
 from .equivalence import default_universe
 from .errors import LimitError
 from .formula import Formula, Imp, Not, Or, Universe
-from .semantics import Interpretation, Mode, le, truth_table
+from .semantics import Interpretation, Mode, check_universe, le, truth_table
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class CriteriaReport:
     and_absorb:  first & second  =  first            le(x, y)
     conj_bottom: first & ~second is a contradiction  x & (mask ^ y) == 0
     disj_top:    ~first | second is a tautology      (mask ^ x) | y == mask
-    witness:     the lowest row of x & ~y, where first & second and first differ
+    witness:     the lowest row of x & (mask ^ y), where first & second and first differ
     """
 
     and_absorb: bool
@@ -98,11 +98,12 @@ def criteria_report(a: Formula, b: Formula, u: Optional[Universe] = None) -> Cri
     ta = truth_table(a, u, Mode.RELATIONAL)
     tb = truth_table(b, u, Mode.RELATIONAL)
     x, y, mask = ta.bits, tb.bits, ta.mask
+    refuting = x & (mask ^ y)  # the rows of first & ~second
     and_absorb = le(x, y)
-    conj_bottom = x & (mask ^ y) == 0
+    conj_bottom = refuting == 0
     disj_top = (mask ^ x) | y == mask
     agree = and_absorb == conj_bottom == disj_top
-    return CriteriaReport(and_absorb, conj_bottom, disj_top, agree, Interpretation.lowest(u, x & ~y))
+    return CriteriaReport(and_absorb, conj_bottom, disj_top, agree, Interpretation.lowest(u, refuting))
 
 
 def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> RelationClass:
@@ -160,6 +161,8 @@ def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> lis
     """Judge all three schemas, instantiated with a and b, under both modes."""
     if u is None:
         u = default_universe(a, b)
+    # Each schema holds both operands; a's stray letters are named alone, as implies names them.
+    check_universe(a, u)
     reports = []
     for schema in _SCHEMAS:
         f = paradox_formula(schema, a, b)

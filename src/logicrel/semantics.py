@@ -27,7 +27,13 @@ of two tables iff it holds of their extensions.  Material mode always folds
 every node over all of u.
 
 Truth tables are stored as int bit vectors: bit i is the value at row i, and
-row i assigns letter k true iff bit k of i is set.
+row i assigns letter k true iff bit k of i is set.  The all-rows mask is one
+cached object per universe size, which every table over u, TruthTable.mask
+and the node loop share.  The node loop answers a constant operand without a
+pass over the table by one rule: an operand that is that mask object
+(identity, never `==`) or zero decides `~`, `&`, `|` and a material `->`;
+anything else, an all-ones table that is not the mask object included, takes
+the full operation.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .formula import (
     Or,
     Top,
     Universe,
+    letters,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -87,8 +94,25 @@ class Interpretation:
 
     @classmethod
     def lowest(cls, universe: Universe, rows: int) -> "Optional[Interpretation]":
-        """The witness row of a row set: its lowest set bit, or None when `rows` is 0."""
-        return cls.from_index(universe, (rows & -rows).bit_length() - 1) if rows else None
+        """The witness row of a row set: its lowest set bit, or None when `rows` is 0.
+
+        The low 2^6, 2^8, 2^10, ... rows are tried first, each window an `&`
+        with a cached all-rows mask at a cost that grows with its width,
+        until one holds a set bit.  Windows stop at 1/16 of the table's rows,
+        and past them the whole set is read, so the windows add under 1/12 of
+        one `&` pass to the worst case.  Either way the bit is found by
+        `low ^ (low - 1)` on non-negative ints: a negative operand, as in
+        `rows & -rows`, takes the slower two's-complement path.
+        """
+        if not rows:
+            return None
+        low = rows
+        for k in range(6, len(universe) - 3, 2):
+            window = rows & _all_rows(k)
+            if window:
+                low = window
+                break
+        return cls.from_index(universe, (low ^ (low - 1)).bit_length() - 1)
 
     @property
     def index(self) -> int:
@@ -120,7 +144,8 @@ class TruthTable:
 
     @property
     def mask(self) -> int:
-        return (1 << (1 << len(self.universe))) - 1
+        """The set of all rows: the cached all-rows mask of the universe's size."""
+        return _all_rows(len(self.universe))
 
     def value_at(self, row: int) -> bool:
         _check_row(self.universe, row)
@@ -191,6 +216,19 @@ def _letter_patterns(n_letters: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
+@functools.lru_cache(maxsize=None)
+def _all_rows(n_letters: int) -> int:
+    """The all-rows mask of an n_letters universe, one object per size.
+
+    Its subtraction borrows through every digit, so at 20 letters building it
+    costs about six `&` passes.  The tables of a query share this object, and
+    the node loop tests a table against it by identity.  Every Universe
+    passes the letter limit, so the cache holds at most one mask per size up
+    to that limit: under 2^(limit + 1) bits in all, 256 KiB at 20 letters.
+    """
+    return (1 << (1 << n_letters)) - 1
+
+
 # Relational folds over at least this many letters decide each implication in
 # place, over its operands' own letters.  Below it a helper call and the
 # context bookkeeping per implication cost more than the narrower big-int
@@ -204,7 +242,15 @@ _LOCAL_MIN_LETTERS = 17
 
 
 def _evaluate(nodes: list[Formula], mask: int, pattern_of: dict[str, int], relational: bool) -> list[int]:
-    """The node loop: each node's bits from its children's on a stack, which is returned."""
+    """The node loop: each node's bits from its children's on a stack, which is returned.
+
+    An operand that is the `mask` object itself or zero answers `~`, `&`, `|`
+    and a material `->` without a big-int operation (`x -> 0` with one).  T
+    and every decided implication give that object, so a constant costs no
+    pass over the table.  Any other operand takes the full operation, a table
+    of all ones that is not the mask object included: a table is never
+    compared with the mask by `==`, which scans it when the two are equal.
+    """
     bits: list[int] = []
     for g in nodes:
         kind = type(g)
@@ -215,17 +261,22 @@ def _evaluate(nodes: list[Formula], mask: int, pattern_of: dict[str, int], relat
         elif kind is Bottom:
             value = 0
         elif kind is Not:
-            value = mask ^ bits.pop()
+            a = bits.pop()
+            value = 0 if a is mask else mask ^ a if a else mask
         else:
             b, a = bits.pop(), bits.pop()
             if kind is And:
-                value = a & b
+                value = b if a is mask or not b else a if b is mask or not a else a & b
             elif kind is Or:
-                value = a | b
+                value = b if b is mask or not a else a if a is mask or not b else a | b
             elif relational:
                 value = mask if le(a, b) else 0
+            elif b is mask or not a:
+                value = mask
+            elif a is mask:
+                value = b
             else:
-                value = (mask ^ a) | b
+                value = (mask ^ a) | b if b else mask ^ a
         bits.append(value)
     return bits
 
@@ -259,7 +310,7 @@ def _decide_implications(order: list[Formula], u: Universe) -> list[Formula]:
             if kind is Imp:
                 context = reads[-1] | right
                 if context not in local:
-                    local_mask = (1 << (1 << context.bit_count())) - 1
+                    local_mask = _all_rows(context.bit_count())
                     local_patterns = {}
                     rest = context
                     while rest:
@@ -284,6 +335,12 @@ def _stray_letters(order: list[Formula], u: Universe) -> UniverseMismatch:
     return UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
 
 
+def check_universe(f: Formula, u: Universe) -> None:
+    """Raise the error f's table over u would raise if u lacks a letter of f, building no table."""
+    if not letters(f).issubset(u.letters):
+        raise _stray_letters(subformulas_bottom_up(f), u)
+
+
 def _fold(f: Formula, u: Universe, m: Mode) -> int:
     """The evaluator: f's table over u as a bit vector.
 
@@ -297,7 +354,7 @@ def _fold(f: Formula, u: Universe, m: Mode) -> int:
     # Patterns only after the limit check, which bounds their size.
     patterns = _letter_patterns(n_letters)
     pattern_of = dict(zip(u.letters, patterns))
-    mask = (1 << (1 << n_letters)) - 1
+    mask = _all_rows(n_letters)
     relational = m is Mode.RELATIONAL
     try:
         nodes = order

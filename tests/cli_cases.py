@@ -49,6 +49,8 @@ def run_case(case: CliCase) -> tuple[int, str, str]:
 _CORPUS_FORMULAS = str(GOLDEN_DIR / "corpus_formulas.txt")
 _CORPUS_PAIRS = str(GOLDEN_DIR / "corpus_pairs.txt")
 _LETTERS_17 = ",".join(f"x{k}" for k in range(17))
+_LETTERS_20 = ",".join(f"x{k}" for k in range(20))
+_AND_20 = " & ".join(f"x{k}" for k in range(20))
 
 CASES = [
     # classify: exit 0 on a tautology, 1 otherwise
@@ -94,6 +96,11 @@ CASES = [
             ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17), 1),
     CliCase("classify_17_letters_material",
             ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17, "--mode", "material"), 0),
+    # the lowest false row and the refuting row are the top row, 2^20 - 1
+    CliCase("classify_20_letters_top_row_false",
+            ("classify", f"~({_AND_20})", "--mode", "material", "--universe", _LETTERS_20), 1),
+    CliCase("entails_20_letters_top_row_json",
+            ("entails", _AND_20, "~x0", "--universe", _LETTERS_20, "--json"), 1),
     CliCase("implies_17_letters_json",
             ("implies", "x16 & (x0 -> x0)", "x1", "--universe", _LETTERS_17, "--json"), 1),
     # lattice and the DOT export
@@ -130,4 +137,7 @@ CASES = [
     CliCase("error_universe_mismatch_two_letters",
             ("relate", "z & (y -> a)", "(z -> y) -> a", "--universe", "a"), 2,
             stderr="universe error: letters ['y', 'z'] not in universe ('a',)\n"),
+    CliCase("error_universe_mismatch_audit",
+            ("audit", "x & p", "y", "--universe", "p"), 2,
+            stderr="universe error: letters ['x'] not in universe ('p',)\n"),
 ]

@@ -36,3 +36,9 @@ def test_excluded_middle():
 def test_constants_ignore_assignments():
     assert oracle_table(parse("T -> F"), ()) == [False]
     assert oracle_table(parse("F -> F"), ()) == [True]
+
+
+def test_material_implication_is_pointwise():
+    assert oracle_table(parse("p -> q"), ("p", "q"), material=True) == [True, False, True, True]
+    assert oracle_table(parse("(p -> q) | (q -> p)"), ("p", "q"), material=True) == [True] * 4
+    assert oracle_table(parse("T -> F"), (), material=True) == [False]

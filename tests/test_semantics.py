@@ -224,6 +224,19 @@ def test_lowest_interpretation_of_a_row_set(u_pq):
     assert Interpretation.lowest(u_pq, 0b1100).as_dict() == {"p": False, "q": True}
 
 
+@pytest.mark.parametrize("n_letters", [1, 4, 17, 20])
+def test_lowest_is_the_lowest_set_bit(n_letters):
+    u = Universe(tuple(f"x{k}" for k in range(n_letters)))
+    top = (1 << n_letters) - 1
+    rng = random.Random(n_letters)
+    rows = {0, 63, 64, 65, top, *(1 << k for k in range(n_letters)), *(rng.randrange(top + 1) for _ in range(8))}
+    for row in sorted(r for r in rows if r <= top):
+        for above in (0, rng.getrandbits(1 << n_letters)):
+            row_set = 1 << row | above >> row << row  # no row below row
+            assert Interpretation.lowest(u, row_set).index == (row_set & -row_set).bit_length() - 1 == row
+    assert Interpretation.lowest(u, 0) is None
+
+
 class TestInterpretation:
     def test_one_value_per_letter(self, u_pq):
         with pytest.raises(ValueError, match=r"^1 values for 2 letters$"):
