@@ -4,15 +4,18 @@ Formulas are immutable trees over the connectives {T, F, ~, &, |, ->}; each node
 holds its subformulas in one tuple, `children`.  Structural equality (``==``) is
 syntax identity, distinct from logical equivalence (the equivalence module).
 
-A connective that `parse` returned also holds its tree's post-order and
-letters, so that the one walk, `subformulas_bottom_up`, does not descend into
-a parsed operand again for the universe or any table of a query (`cache_walk`).
-The cached order leaves out the root, so nothing in it refers back to the node
-that holds it: a parsed tree has no reference cycle and is freed by reference
-counting alone.  No other node holds a walk: not TOP, BOTTOM or a Letter,
-which may be shared, not a parsed tree's inner nodes, which would cost memory
-per node times depth, and not a node made by the constructors, by unpickling
-or by copying.
+The evaluator reads a formula as its `program`: the post-order as small ints,
+a letter as its index in the formula's letters in first-occurrence order and
+each constant and connective as its negative code in CODES.  `parse` emits
+that program and builds no nodes: a connective it returns holds the program
+(`parsed_root`) and builds its children from it, once, when they are first
+read, by `render`, ``==``, `hash`, `repr`, a field such as `.left`, or the
+walk `subformulas_bottom_up`.  A query that only needs tables reads the
+program and never builds a node.  The cache holds ints and names, never a
+node, so a parsed tree has no reference cycle and is freed by reference
+counting alone.  No other node holds a program: not TOP, BOTTOM or a Letter,
+which may be shared, not a parsed tree's inner nodes, and not a node made by
+the constructors, by unpickling or by copying.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class _Node:
 
     __slots__ = ()
     children: "tuple[Formula, ...]" = ()  # a leaf's; a connective stores its own
-    _walk: "tuple[list[Formula], tuple[str, ...]] | None" = None  # a leaf's; see cache_walk for a connective's
+    _walk: "tuple[list[int], tuple[str, ...]] | None" = None  # a leaf's; see parsed_root for a connective's
     __match_args__: "tuple[str, ...]" = ()
 
     def __setattr__(self, name: str, *value: object) -> None:
@@ -50,7 +53,7 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def _key(self) -> tuple:
-        return tuple((type(g), getattr(g, "name", None)) for g in subformulas_bottom_up(self))
+        return tuple((type(g), g.name if type(g) is Letter else None) for g in subformulas_bottom_up(self))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -94,7 +97,13 @@ class Bottom(_Node):
 
 
 class _Connective(_Node):
-    """A node whose fields are its children, kept in one tuple and read by name."""
+    """A node whose fields are its children, kept in one tuple and read by name.
+
+    A root that `parse` returned starts with `children` unset; reading the
+    unset slot raises AttributeError, which calls __getattr__, and that builds
+    the children from the cached program.  Once set, the slot is read
+    directly, so a tree that is already built pays nothing here.
+    """
 
     __slots__ = ("children", "_walk")
 
@@ -110,6 +119,14 @@ class _Connective(_Node):
             raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "_walk", None)
+
+    def __getattr__(self, name: str) -> "tuple[Formula, ...]":
+        if name != "children":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        codes, names = self._walk
+        children = tuple(build_nodes(codes[:-1], names))
+        _set_children(self, children)
+        return children
 
 
 class Not(_Connective):
@@ -144,7 +161,7 @@ _set_walk = _Connective._walk.__set__
 def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formula":
     """A node of connective `kind` over `children`, trusted to be one formula per field.
 
-    For trusted internal callers only, such as the parser: it is not part of
+    For trusted internal callers only, such as `build_nodes`: it is not part of
     the `logicrel` API and is absent from `logicrel.__all__`. It skips the
     public constructors' argument binding and checks, so it costs about half
     as much per node, but nothing stops a wrong count. `build(And, (p,))`
@@ -158,17 +175,66 @@ def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formul
     return node
 
 
-def cache_walk(root: "Formula", order: "list[Formula]", names: "tuple[str, ...]") -> None:
-    """Keep a parsed tree's post-order and letters on its root, if the root is a connective.
+# The program code of each constant and connective; a letter's code is its
+# index, from 0, in the program's names.  T and F are -1 and -2, so a list of
+# one value per name followed by F's and T's is indexed by every leaf code, and
+# a code above CODES[Not] is a leaf.
+CODES = {Top: -1, Bottom: -2, Not: -3, And: -4, Or: -5, Imp: -6}
+_KINDS = {code: kind for kind, code in CODES.items()}
 
-    For the parser only, like `build`, and absent from `logicrel.__all__`.
-    `order` is the tree's post-order, which ends with the root; the cache
-    keeps it without the root, so that it refers to nothing that refers back
-    to the root.  `names` are the letters in first-occurrence order.
+
+def build_nodes(codes: "list[int]", names: "tuple[str, ...]") -> "list[Formula]":
+    """The subformulas that a run of program codes leaves, in order, built with `build`.
+
+    Each code either pushes a leaf, one Letter per name, or replaces the
+    subformulas its connective takes with the node over them.  A whole
+    program leaves its formula alone.  For trusted internal callers, like
+    `build`, and absent from `logicrel.__all__`.
     """
-    if isinstance(root, _Connective):
-        order.pop()
-        _set_walk(root, (order, names))
+    leaves = [*map(Letter, names), BOTTOM, TOP]
+    not_code = CODES[Not]
+    stack: list[Formula] = []
+    for code in codes:
+        if code > not_code:
+            stack.append(leaves[code])
+        elif code == not_code:
+            stack[-1] = build(Not, (stack[-1],))
+        else:
+            right = stack.pop()
+            stack[-1] = build(_KINDS[code], (stack[-1], right))
+    return stack
+
+
+def parsed_root(codes: "list[int]", names: "tuple[str, ...]") -> "Formula":
+    """The formula of a whole program, as `parse` returns it; for the parser only.
+
+    A one-code program is its leaf.  Otherwise the root is a node of the last
+    code's kind that holds the program and builds its children only when
+    they are first read (see _Connective).  `names` are the letters in
+    first-occurrence order.
+    """
+    if len(codes) == 1:
+        return build_nodes(codes, names)[0]
+    root = object.__new__(_KINDS[codes[-1]])
+    _set_walk(root, (codes, names))
+    return root
+
+
+def program(f: "Formula") -> "tuple[list[int], tuple[str, ...]]":
+    """f's post-order as program codes, and its letters in first-occurrence order.
+
+    A root that `parse` returned gives its cached program, which the caller
+    must not change.  Any other formula is folded over
+    `subformulas_bottom_up`, so a formula built over parsed operands, like an
+    `audit` schema, builds their nodes once.
+    """
+    cached = getattr(f, "_walk", None)  # a non-formula fails the walk
+    if cached is not None:
+        return cached
+    names: dict[str, int] = {}
+    codes = [names.setdefault(g.name, len(names)) if type(g) is Letter else CODES[type(g)]
+             for g in subformulas_bottom_up(f)]
+    return codes, tuple(names)
 
 
 def join_rope(rope: "str | list") -> str:
@@ -193,14 +259,10 @@ def join_rope(rope: "str | list") -> str:
 def subformulas_bottom_up(f: Formula) -> list[Formula]:
     """All subformulas in post-order (duplicates retained); f itself is last.
 
-    The one walk over formulas, on an explicit stack.  Every other walker
-    folds over this list, popping one value per child of each node off a
-    value stack.  A root that `parse` returned holds its tree's post-order
-    (see `cache_walk`), so the walk splices that in and does not descend into
-    it: a query that combines parsed operands, like an `audit` schema, visits
-    only the nodes above them.  The cached order leaves out that root, so it
-    holds no reference cycle.  Other trees, built by the constructors, by
-    unpickling or by copying, are walked node by node.
+    The one walk over nodes, on an explicit stack.  Every other walker of
+    nodes folds over this list, popping one value per child of each node off
+    a value stack; the evaluator reads `program` instead.  Reading the
+    children of a root that `parse` returned builds them, once.
     """
     out: list[Formula] = []
     stack = [f]
@@ -208,23 +270,16 @@ def subformulas_bottom_up(f: Formula) -> list[Formula]:
         g = stack.pop()
         out.append(g)
         try:
-            cached = g._walk
+            stack += g.children
         except AttributeError:
             raise TypeError(f"not a formula: {g!r}") from None
-        if cached is not None:
-            out += reversed(cached[0])
-        else:
-            stack.extend(g.children)
     out.reverse()  # node, right, left reversed is left, right, node
     return out
 
 
 def letter_sequence(f: Formula) -> list[str]:
     """Letter names in first-occurrence (left-to-right) order, deduplicated."""
-    cached = getattr(f, "_walk", None)  # a parsed root's (cache_walk); a non-formula fails the walk
-    if cached is not None:
-        return list(cached[1])
-    return list(dict.fromkeys(g.name for g in subformulas_bottom_up(f) if type(g) is Letter))
+    return list(program(f)[1])
 
 
 def letters(f: Formula) -> set[str]:
@@ -256,13 +311,24 @@ class Universe:
                 raise ValueError(f"invalid letter name {name!r}")
         if len(set(letters)) != len(letters):
             raise ValueError(f"duplicate letters in universe {letters!r}")
+        self._hold(letters)
+
+    def _hold(self, letters: "tuple[str, ...]") -> None:
+        """The core both constructors share: the letter limit, then the field."""
         check_letters(len(letters), "universe has {} letters")
         object.__setattr__(self, "letters", letters)
 
     @classmethod
     def of(cls, *fs: Formula) -> "Universe":
-        """Union of the formulas' letters in first-occurrence order."""
-        return cls(tuple(dict.fromkeys(name for f in fs for name in letter_sequence(f))))
+        """Union of the formulas' letters in first-occurrence order.
+
+        Formula letters were checked when they were made, by Letter or by the
+        parser's token pattern, and dict.fromkeys makes them distinct, so
+        only the letter limit is checked here.
+        """
+        u = object.__new__(cls)
+        u._hold(tuple(dict.fromkeys(name for f in fs for name in letter_sequence(f))))
+        return u
 
     @cached_property
     def _index(self) -> dict[str, int]:

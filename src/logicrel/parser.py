@@ -17,17 +17,19 @@ tokens stay unambiguous.
 
 Parsing is one `findall` of the whole text by a compiled regular expression,
 which gives the token strings alone, then one operator-precedence loop over
-them with an operand stack and an operator stack; neither recurses, so time
-is linear in the input length.  The loop reads each token's role from small
-dicts keyed by its text, built at import from _SPELLINGS.  Token positions
-are worked out only when an error is raised: _error runs the same regular
-expression again with `finditer`, whose matches are the same tokens, and a
-ParseError reports the UTF-8 byte offset of the offending token.
+them with an operator stack; neither recurses, so time is linear in the input
+length.  The loop reads each token's role from small dicts keyed by its text,
+built at import from _SPELLINGS.  Token positions are worked out only when an
+error is raised: _error runs the same regular expression again with
+`finditer`, whose matches are the same tokens, and a ParseError reports the
+UTF-8 byte offset of the offending token.
 
-The loop makes each node after its operands, so the order it makes them in is
-the tree's post-order.  parse records that order and the letters in order of
-first occurrence, and keeps both on the root it returns (formula.cache_walk),
-so later walks of the query splice them in instead of walking the tree again.
+The loop emits each subformula's code after its operands', so what it emits
+is the formula's program (formula.program): its post-order as small ints, a
+letter as its index in the letters in order of first occurrence and each
+constant and connective as its code in formula.CODES.  parse builds no node:
+it returns a leaf itself, and otherwise a root that holds the program and
+builds its children only when something reads them (formula.parsed_root).
 
 Nesting depth is part of the input contract, not a guard for the Python
 stack: each "(" and each negation opens one level, and a formula nested
@@ -41,8 +43,7 @@ from enum import Enum
 
 from .errors import LimitError, LogicError, ParseError
 from .formula import (
-    BOTTOM,
-    TOP,
+    CODES,
     And,
     Bottom,
     Formula,
@@ -51,9 +52,8 @@ from .formula import (
     Not,
     Or,
     Top,
-    build,
-    cache_walk,
     join_rope,
+    parsed_root,
     subformulas_bottom_up,
 )
 from .limits import check_letters
@@ -103,8 +103,9 @@ _BINARY = {
 # is a letter if it starts lowercase, else an error; "" is the end sentinel.
 _OPENS = {**dict.fromkeys(_SPELLINGS[Not], _PREC_NOT), "(": 0}
 _STRENGTH = {text: prec for kind, (prec, _) in _BINARY.items() for text in _SPELLINGS[kind]}
-_BUILD = {prec: kind for kind, (prec, _) in _BINARY.items()}
-_CONSTANT = {text: node for node in (TOP, BOTTOM) for text in _SPELLINGS[type(node)]}
+_CODE = {prec: CODES[kind] for kind, (prec, _) in _BINARY.items()}
+_CONSTANT = {text: CODES[kind] for kind in (Top, Bottom) for text in _SPELLINGS[kind]}
+_NOT = CODES[Not]
 
 
 def _quoted(kind: type) -> str:
@@ -156,16 +157,15 @@ def _error(text: str, i: int, expected: frozenset[str] | None) -> LogicError:
 def parse(text: str) -> Formula:
     """Parse per the module grammar; whitespace between tokens is ignored.
 
-    One operator-precedence loop over the token strings, with an operand
-    stack and an operator stack, so nothing here recurses.  An error is
-    built by _error from the index of the token the loop stopped at.
+    One operator-precedence loop over the token strings, with an operator
+    stack, so nothing here recurses.  An error is built by _error from the
+    index of the token the loop stopped at.
     """
     tokens = _TOKENS.findall(text)
     tokens.append("")
-    names: dict[str, Letter] = {}  # one Letter per distinct name
-    order: list[Formula] = []  # every node as it is made, which is post-order
-    made = order.append
-    operands: list[Formula] = []  # left operand of each binary connective on ops
+    names: dict[str, int] = {}  # each distinct letter's code, in first-occurrence order
+    codes: list[int] = []  # the program, in post-order
+    emit = codes.append
     ops: list[int] = []  # 0 for "(", else the binding strength of ~ or a connective
     depth = 0  # "(" and negations on ops
     i = 0
@@ -181,22 +181,21 @@ def parse(text: str) -> Formula:
             i += 1
             word = tokens[i]
             opens = _OPENS.get(word)
-        f = names.get(word)
-        if f is None:
-            f = _CONSTANT.get(word)
-            if f is None:
+        code = names.get(word)
+        if code is None:
+            code = _CONSTANT.get(word)
+            if code is None:
                 if not "a" <= word < "{":  # a word starting with a-z
                     raise _error(text, i, _ATOM_STARTERS)
-                f = names[word] = Letter(word)
-        made(f)
+                code = names[word] = len(names)
+        emit(code)
         i += 1
         # Expecting an operator: close negations and groups, then a connective.
         while True:
             while ops and ops[-1] == _PREC_NOT:
                 ops.pop()
                 depth -= 1
-                f = build(Not, (f,))
-                made(f)
+                emit(_NOT)
             # A negation left on ops sits under a "(", so depth > 0 now means a
             # "(" is open, and only connectives lie above the innermost one.
             word = tokens[i]
@@ -204,26 +203,21 @@ def parse(text: str) -> Formula:
             if strength:
                 # -> is right-associative: an open -> stays open for the next.
                 while ops and ops[-1] >= strength + (strength == _PREC_IMP):
-                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
-                    made(f)
+                    emit(_CODE[ops.pop()])
                 ops.append(strength)
-                operands.append(f)
                 i += 1
                 break
             if word == ")" and depth:
                 while ops[-1]:
-                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
-                    made(f)
+                    emit(_CODE[ops.pop()])
                 ops.pop()
                 depth -= 1
                 i += 1
             elif word == "" and not depth:
                 while ops:
-                    f = build(_BUILD[ops.pop()], (operands.pop(), f))
-                    made(f)
+                    emit(_CODE[ops.pop()])
                 check_letters(len(names), "formula uses {} distinct letters")
-                cache_walk(f, order, tuple(names))
-                return f
+                return parsed_root(codes, tuple(names))
             else:
                 raise _error(text, i, _AFTER_OPERAND[depth > 0])
 

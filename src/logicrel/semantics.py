@@ -8,10 +8,11 @@ its value global (the same at every interpretation) and a function of the
 operands' relational tables a and b alone: all rows if a & b == a, else none.
 
 So one bottom-up pass over the formula computes its table in either mode, the
-two differing only at implication nodes.  truth_table is that pass over
-subformulas_bottom_up, and pointwise evaluation reads one row of it.
-eliminate_implications is the post-order with each implication decided in
-place, as below, at every universe size, built again into a formula.
+two differing only at implication nodes.  truth_table is that pass over the
+formula's program (formula.program), its post-order as small ints, and
+pointwise evaluation reads one row of it.  eliminate_implications is the
+program with each implication decided in place, as below, at every universe
+size, built into a formula.
 
 An implication's table is a constant, so it reads no letters, and its verdict
 depends only on the letters its operands read.  Below _LOCAL_MIN_LETTERS
@@ -47,6 +48,7 @@ from typing import Optional
 from .errors import UniverseMismatch
 from .formula import (
     BOTTOM,
+    CODES,
     TOP,
     And,
     Bottom,
@@ -57,8 +59,9 @@ from .formula import (
     Or,
     Top,
     Universe,
-    letters,
-    subformulas_bottom_up,
+    build_nodes,
+    letter_sequence,
+    program,
 )
 from .limits import check_letters
 
@@ -241,33 +244,38 @@ def _all_rows(n_letters: int) -> int:
 _LOCAL_MIN_LETTERS = 17
 
 
-def _evaluate(nodes: list[Formula], mask: int, pattern_of: dict[str, int], relational: bool) -> list[int]:
-    """The node loop: each node's bits from its children's on a stack, which is returned.
+_TOP, _BOTTOM, _NOT, _AND, _OR, _IMP = (CODES[kind] for kind in (Top, Bottom, Not, And, Or, Imp))
 
-    An operand that is the `mask` object itself or zero answers `~`, `&`, `|`
-    and a material `->` without a big-int operation (`x -> 0` with one).  T
-    and every decided implication give that object, so a constant costs no
-    pass over the table.  Any other operand takes the full operation, a table
-    of all ones that is not the mask object included: a table is never
-    compared with the mask by `==`, which scans it when the two are equal.
+
+def _evaluate(codes: list[int], leaves: list[int], relational: bool) -> list[int]:
+    """The code loop: each subformula's bits from its operands' on a stack, which is returned.
+
+    `leaves[code]` is the table of a letter or constant code, so
+    `leaves[_TOP]` is the all-rows mask.  An operand that is that mask object
+    itself or zero answers `~`, `&`, `|` and a material `->` without a big-int
+    operation (`x -> 0` with one).  T and every decided implication give that
+    object, so a constant costs no pass over the table.  Any other operand
+    takes the full operation, a table of all ones that is not the mask object
+    included: a table is never compared with the mask by `==`, which scans it
+    when the two are equal.
     """
+    mask = leaves[_TOP]
+    # Locals, not globals and bound methods looked up again for every code.
+    not_code, and_code, or_code = _NOT, _AND, _OR
     bits: list[int] = []
-    for g in nodes:
-        kind = type(g)
-        if kind is Letter:
-            value = pattern_of[g.name]
-        elif kind is Top:
-            value = mask
-        elif kind is Bottom:
-            value = 0
-        elif kind is Not:
-            a = bits.pop()
+    push, pop = bits.append, bits.pop
+    for code in codes:
+        if code > not_code:
+            push(leaves[code])
+            continue
+        if code == not_code:
+            a = pop()
             value = 0 if a is mask else mask ^ a if a else mask
         else:
-            b, a = bits.pop(), bits.pop()
-            if kind is And:
+            b, a = pop(), pop()
+            if code == and_code:
                 value = b if a is mask or not b else a if b is mask or not a else a & b
-            elif kind is Or:
+            elif code == or_code:
                 value = b if b is mask or not a else a if a is mask or not b else a | b
             elif relational:
                 value = mask if le(a, b) else 0
@@ -277,92 +285,92 @@ def _evaluate(nodes: list[Formula], mask: int, pattern_of: dict[str, int], relat
                 value = b
             else:
                 value = (mask ^ a) | b if b else mask ^ a
-        bits.append(value)
+        push(value)
     return bits
 
 
-def _decide_implications(order: list[Formula], u: Universe) -> list[Formula]:
-    """The post-order with each relational implication replaced by T or F, innermost first.
+def _decide_implications(codes: list[int], names: tuple[str, ...], u: Universe) -> list[int]:
+    """The program with each relational implication replaced by T or F, innermost first.
 
-    An implication is decided where the walk reaches it, by evaluating its two
-    operands, already free of implications, over its context: the letters
-    they read, as a bitmask of universe positions.  A context of k letters
-    uses u's patterns, bounded by the caller's limit check, truncated to their
-    low 2^k rows, the context's r-th letter in universe order at pattern r.
+    An implication is decided where the loop reaches it, by evaluating its
+    two operands, already free of implications, over its context: the
+    letters they read, as a bitmask of universe positions.  A context of k
+    letters uses u's patterns, bounded by the caller's limit check, truncated
+    to their low 2^k rows, the context's r-th letter in universe order at
+    pattern r.  A name that u lacks raises KeyError.
     """
     patterns = _letter_patterns(len(u))
-    bit_of = {name: 1 << k for k, name in enumerate(u.letters)}
-    local: dict[int, tuple[int, dict[str, int]]] = {}  # context -> (mask, patterns)
-    out: list[Formula] = []
+    position = {name: k for k, name in enumerate(u.letters)}
+    bit_of = [1 << position[name] for name in names]
+    local: dict[int, list[int]] = {}  # context -> leaves for _evaluate
+    out: list[int] = []
     reads: list[int] = []  # the letters each pending subformula reads
     starts: list[int] = []  # where each pending subformula starts in out
-    for g in order:
-        kind = type(g)
-        if kind is Letter:
-            reads.append(bit_of[g.name])
+    for code in codes:
+        if code >= 0:
+            reads.append(bit_of[code])
             starts.append(len(out))
-        elif kind is Top or kind is Bottom:
+        elif code > _NOT:
             reads.append(0)
             starts.append(len(out))
-        elif kind is not Not:
+        elif code != _NOT:
             right = reads.pop()
             starts.pop()
-            if kind is Imp:
+            if code == _IMP:
                 context = reads[-1] | right
-                if context not in local:
+                leaves = local.get(context)
+                if leaves is None:
                     local_mask = _all_rows(context.bit_count())
-                    local_patterns = {}
-                    rest = context
-                    while rest:
-                        low = rest & -rest
-                        name = u.letters[low.bit_length() - 1]
-                        local_patterns[name] = patterns[len(local_patterns)] & local_mask
-                        rest ^= low
-                    local[context] = local_mask, local_patterns
+                    # A letter outside the context is not read: 0 holds its place.
+                    leaves = local[context] = [
+                        patterns[(context & (bit - 1)).bit_count()] & local_mask if bit & context else 0
+                        for bit in bit_of
+                    ] + [0, local_mask]
                 start = starts[-1]  # out[start:] is the two operands, free of implications
-                a, b = _evaluate(out[start:], *local[context], True)
-                out[start:] = (TOP if le(a, b) else BOTTOM,)
+                a, b = _evaluate(out[start:], leaves, True)
+                out[start:] = (_TOP if le(a, b) else _BOTTOM,)
                 reads[-1] = 0
                 continue
             reads[-1] |= right
-        out.append(g)
+        out.append(code)
     return out
 
 
-def _stray_letters(order: list[Formula], u: Universe) -> UniverseMismatch:
-    """The error for the letters of a walk that u does not hold, named in sorted order."""
-    missing = {g.name for g in order if type(g) is Letter}.difference(u.letters)
+def _stray_letters(names: tuple[str, ...], u: Universe) -> UniverseMismatch:
+    """The error for the letters among `names` that u does not hold, named in sorted order."""
+    missing = set(names).difference(u.letters)
     return UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
 
 
 def check_universe(f: Formula, u: Universe) -> None:
     """Raise the error f's table over u would raise if u lacks a letter of f, building no table."""
-    if not letters(f).issubset(u.letters):
-        raise _stray_letters(subformulas_bottom_up(f), u)
+    names = letter_sequence(f)
+    if not set(names).issubset(u.letters):
+        raise _stray_letters(names, u)
 
 
 def _fold(f: Formula, u: Universe, m: Mode) -> int:
     """The evaluator: f's table over u as a bit vector.
 
-    Relational mode decides each implication inline in the node loop below
-    the gate, and in place over its operands' letters from the gate on.  A
-    letter outside u fails its lookup, and only then is the walk of f scanned.
+    Relational mode decides each implication inline in the code loop below
+    the gate, and in place over its operands' letters from the gate on.  The
+    program's letters are mapped to u's row patterns once, and a letter
+    outside u fails that lookup.
     """
-    order = subformulas_bottom_up(f)
+    codes, names = program(f)
     n_letters = len(u)
     check_letters(n_letters, "universe has {} letters")
     # Patterns only after the limit check, which bounds their size.
-    patterns = _letter_patterns(n_letters)
-    pattern_of = dict(zip(u.letters, patterns))
-    mask = _all_rows(n_letters)
-    relational = m is Mode.RELATIONAL
+    pattern_of = dict(zip(u.letters, _letter_patterns(n_letters)))
     try:
-        nodes = order
-        if relational and n_letters >= _LOCAL_MIN_LETTERS:
-            nodes = _decide_implications(order, u)
-        return _evaluate(nodes, mask, pattern_of, relational)[0]
+        leaves = [pattern_of[name] for name in names]
     except KeyError:
-        raise _stray_letters(order, u) from None
+        raise _stray_letters(names, u) from None
+    leaves += (0, _all_rows(n_letters))
+    relational = m is Mode.RELATIONAL
+    if relational and n_letters >= _LOCAL_MIN_LETTERS:
+        codes = _decide_implications(codes, names, u)
+    return _evaluate(codes, leaves, relational)[0]
 
 
 def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
@@ -389,22 +397,16 @@ def eliminate_implications(f: Formula, u: Universe) -> Formula:
     An implication becomes T when antecedent & consequent is logically
     equivalent to the antecedent over u, judged on the operands' relational
     tables, F otherwise.  _decide_implications judges each implication over
-    its operands' own letters, inner ones first, at every size of u; a second
-    pass builds the result from its post-order, with no table over all of u.
+    its operands' own letters, inner ones first, at every size of u; the
+    result is built from the program it returns, with no table over all of u.
     """
-    order = subformulas_bottom_up(f)
+    codes, names = program(f)
     check_letters(len(u), "universe has {} letters")
     try:
-        decided = _decide_implications(order, u)
+        decided = _decide_implications(codes, names, u)
     except KeyError:
-        raise _stray_letters(order, u) from None
-    built: list[Formula] = []
-    for g in decided:
-        first = len(built) - len(g.children)
-        operands = built[first:]
-        del built[first:]
-        built.append(type(g)(*operands) if operands else g)
-    return built[0]
+        raise _stray_letters(names, u) from None
+    return build_nodes(decided, names)[0]
 
 
 _LEAF_SHARE = 0.25  # chance of cutting a branch short of the depth budget

@@ -272,8 +272,8 @@ def test_table_of_a_non_formula_is_refused(call):
 LETTERS_17 = tuple("abcdefghijklmnopq")
 
 
-# At 17 letters a relational fold raises from _decide_implications, every other fold from
-# _evaluate; eliminate_implications raises from _decide_implications at every size.
+# A fold raises where it maps the program's letters to the universe's patterns, at 1 and
+# at 17 letters; eliminate_implications raises from _decide_implications at every size.
 @pytest.mark.parametrize("letters_of_u", [("a",), LETTERS_17], ids=["1_letter", "17_letters"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("text", ["z & (y -> a)", "(z -> y) -> a"])

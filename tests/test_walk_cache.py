@@ -1,12 +1,12 @@
-"""The walk that `parse` caches on its root, cross-checked against a plain walk.
+"""The program that `parse` caches on its root, cross-checked against a plain walk.
 
-`parse` records its nodes in post-order as it builds them and keeps that
-order, without the root, and the operand's letters on the root it returns.
-`subformulas_bottom_up` splices a cached walk in instead of descending.  Here
-every spliced post-order is compared, node by node and by identity, with the
-explicit-stack walk the package used before the cache, and every letter
-sequence with the letters that walk finds.  The cache must also leave no
-reference cycle: a parsed tree is freed by reference counting alone.
+`parse` emits its formula's post-order as program codes and keeps them, with
+the operand's letters, on the root it returns; the root builds its children
+from them when they are first read.  Here every post-order that
+`subformulas_bottom_up` returns is compared, node by node and by identity,
+with a plain explicit-stack walk of the children, and every letter sequence
+with the letters that walk finds.  The cache must also leave no reference
+cycle: a parsed tree is freed by reference counting alone.
 """
 
 import copy
