@@ -184,12 +184,10 @@ _KINDS = {code: kind for kind, code in CODES.items()}
 
 
 def build_nodes(codes: "list[int]", names: "tuple[str, ...]") -> "list[Formula]":
-    """The subformulas that a run of program codes leaves, in order, built with `build`.
+    """The subformulas a run of program codes leaves, in order; a whole program leaves its formula.
 
-    Each code either pushes a leaf, one Letter per name, or replaces the
-    subformulas its connective takes with the node over them.  A whole
-    program leaves its formula alone.  For trusted internal callers, like
-    `build`, and absent from `logicrel.__all__`.
+    Nodes are made with `build`, and one Letter per name.  For trusted
+    internal callers, like `build`, and absent from `logicrel.__all__`.
     """
     leaves = [*map(Letter, names), BOTTOM, TOP]
     not_code = CODES[Not]
@@ -209,9 +207,8 @@ def parsed_root(codes: "list[int]", names: "tuple[str, ...]") -> "Formula":
     """The formula of a whole program, as `parse` returns it; for the parser only.
 
     A one-code program is its leaf.  Otherwise the root is a node of the last
-    code's kind that holds the program and builds its children only when
-    they are first read (see _Connective).  `names` are the letters in
-    first-occurrence order.
+    code's kind that holds the program and builds its children when they
+    are first read (see _Connective).
     """
     if len(codes) == 1:
         return build_nodes(codes, names)[0]
@@ -322,9 +319,8 @@ class Universe:
     def of(cls, *fs: Formula) -> "Universe":
         """Union of the formulas' letters in first-occurrence order.
 
-        Formula letters were checked when they were made, by Letter or by the
-        parser's token pattern, and dict.fromkeys makes them distinct, so
-        only the letter limit is checked here.
+        Letter and the parser's token pattern checked each name, and
+        dict.fromkeys makes them distinct, so only the limit is checked here.
         """
         u = object.__new__(cls)
         u._hold(tuple(dict.fromkeys(name for f in fs for name in letter_sequence(f))))

@@ -160,7 +160,7 @@ def test_corpus_lines_build_no_node_and_answer_as_inline(monkeypatch):
 def test_built_children_are_kept_and_match_the_reference_parser(text):
     f = parse(text)
     children = f.children
-    assert f.children is children and f.children is children
+    assert f.children is children
     expected = reference_parser.parse(text)
     assert f == expected and repr(f) == repr(expected)
     assert f.children is children
