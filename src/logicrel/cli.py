@@ -25,6 +25,7 @@ from . import __version__
 from .equivalence import Verdict, default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
 from .formula import Formula, Universe
+from .limits import read_once
 from .parser import parse, render
 from .relation import (
     audit_paradoxes,
@@ -70,22 +71,39 @@ class _Outcome:
     lines: Iterable[str]
     result: object = None
     witness: Optional[dict[str, bool]] = None
+    # A table's bits_hex: the last key of the JSON result object, kept out of it
+    # so that the writer can pass it through without an escape scan or a copy.
+    bits_hex: Optional[str] = None
+
+
+# Encodes as json.dumps(value, ensure_ascii=False) does, without building an encoder per call.
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _write(ns, out: io.StringIO, mode: str, universe: Optional[Universe], outcome: _Outcome) -> int:
-    """Write an answer as its text lines or as the JSON envelope; return its exit code."""
-    if ns.json:
-        envelope = {
-            "command": ns.command,
-            "mode": mode,
-            "universe": list(universe.letters) if universe is not None else [],
-            "result": outcome.result,
-            "witness": outcome.witness,
-            "version": __version__,
-        }
-        out.write(json.dumps(envelope, ensure_ascii=False) + "\n")
-    else:
+    """Write an answer as its text lines or as the JSON envelope; return its exit code.
+
+    The envelope line is byte for byte json.dumps(envelope, ensure_ascii=False)
+    and a newline: the six keys in their fixed order with json.dumps's
+    separators, each value through _ENCODE.  A table's bits_hex comes from
+    format(..., "x"), so it holds only hex digits and is written as it is: at
+    20 letters it is 256 KiB, which an encoder would scan and then copy.
+    """
+    if not ns.json:
         out.writelines(f"{line}\n" for line in outcome.lines)
+        return outcome.code
+    letters = list(universe.letters) if universe is not None else []
+    out.write(f'{{"command": {_ENCODE(ns.command)}, "mode": {_ENCODE(mode)}, ')
+    out.write(f'"universe": {_ENCODE(letters)}, "result": ')
+    result = _ENCODE(outcome.result)
+    if outcome.bits_hex is None:
+        out.write(result)
+    else:
+        out.write(f'{result[:-1]}, "bits_hex": "')
+        out.write(outcome.bits_hex)
+        out.write('"}')
+    out.write(f', "witness": {_ENCODE(outcome.witness)}, "version": {_ENCODE(__version__)}}}')
+    out.write("\n")
     return outcome.code
 
 
@@ -150,7 +168,7 @@ def _table(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
     t = truth_table(fs[0], u, mode)
     # map() is lazy: the text, 2^n lines long, is built only if it is written.
     lines = map(TruthTable.render_text, [t])
-    return _Outcome(HOLDS, lines, {"rows": t.rows, "bits_hex": t.bits_hex()})
+    return _Outcome(HOLDS, lines, {"rows": t.rows}, bits_hex=t.bits_hex())
 
 
 def _audit(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
@@ -352,7 +370,8 @@ def run(argv: list[str], stdin: Optional[TextIO] = None) -> tuple[int, str, str]
     # Named here, not stored in the parser, so a handler patched in here is seen.
     handler = _lattice if ns.command == "lattice" else _query
     try:
-        code = handler(ns, out, stdin)
+        with read_once():
+            code = handler(ns, out, stdin)
     except _EXPECTED as e:
         label, code = _failure(e)
         err.write(f"{label}: {e}\n")

@@ -125,6 +125,21 @@ CASES = [
     CliCase("error_limit_env", ("classify", "p & q & r"), 3,
             env={"LOGICREL_MAX_LETTERS": "2"},
             stderr="limit error: formula uses 3 distinct letters, limit is 2\n"),
+    # an invalid setting is read once per invocation and refused only at the
+    # first letter check: a parse error or a missing operand comes first, and
+    # an empty corpus reaches no check
+    CliCase("error_limit_env_invalid_after_parse_error", ("classify", "p -> -> q"), 2,
+            env={"LOGICREL_MAX_LETTERS": "abc"},
+            stderr="parse error: unexpected '->' at offset 5, expected one of "
+                   "'(', 'F', 'T', '~', letter\n"),
+    CliCase("error_limit_env_invalid_after_missing_operand", ("equiv", "p"), 2,
+            env={"LOGICREL_MAX_LETTERS": "abc"},
+            stderr="input error: missing operand(s): second\n"),
+    CliCase("error_limit_env_invalid_empty_corpus", ("classify", "--corpus", "-"), 0,
+            stdin="", env={"LOGICREL_MAX_LETTERS": "abc"}),
+    CliCase("error_limit_env_invalid", ("classify", "p"), 3,
+            env={"LOGICREL_MAX_LETTERS": "abc"},
+            stderr="limit error: LOGICREL_MAX_LETTERS must be an integer, got 'abc'\n"),
     CliCase("error_lattice_range", ("lattice", "0"), 3,
             stderr="limit error: lattice verification supports 1 <= n <= 4, got 0\n"),
     CliCase("error_lattice_dot_huge", ("lattice", "99999999999999999999", "--dot"), 3,
