@@ -222,8 +222,8 @@ def program(f: "Formula") -> "tuple[list[int], tuple[str, ...]]":
 
     A root that `parse` returned gives its cached program, which the caller
     must not change.  Any other formula is folded over
-    `subformulas_bottom_up`, so a formula built over parsed operands, like an
-    `audit` schema, builds their nodes once.
+    `subformulas_bottom_up`, so one built over parsed operands builds their
+    nodes; `audit` reads its schemas over two placeholder letters instead.
     """
     cached = getattr(f, "_walk", None)  # a non-formula fails the walk
     if cached is not None:

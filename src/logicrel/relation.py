@@ -3,9 +3,10 @@
 An implication between two formulas holds exactly when their conjunction is
 logically equivalent to the first formula.  This module reads that relation
 (implies_rel), its three equivalent criteria and the disjoint / joint /
-inclusion classifier from the two operands' relational tables; it also audits
-the classic paradox schemas under both modes, and verifies by brute force that
-the relation orders truth-table classes into a bounded lattice.
+inclusion classifier from the two operands' relational tables.  It audits the
+classic paradox schemas under both modes from the operands' tables in each
+mode, each schema composed over two placeholder letters, and verifies by brute
+force that the relation orders truth-table classes into a bounded lattice.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional
 
 from .equivalence import default_universe
 from .errors import LimitError
-from .formula import Formula, Imp, Not, Or, Universe
-from .semantics import Interpretation, Mode, check_universe, le, truth_table
+from .formula import Formula, Imp, Letter, Not, Or, Universe
+from .semantics import Interpretation, Mode, compose, le, truth_table
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,21 @@ def paradox_formula(schema: str, a: Formula, b: Formula) -> Formula:
 
 
 def audit_paradoxes(a: Formula, b: Formula, u: Optional[Universe] = None) -> list[ParadoxReport]:
-    """Judge all three schemas, instantiated with a and b, under both modes."""
+    """Judge all three schemas, instantiated with a and b, under both modes, from four tables."""
     if u is None:
         u = default_universe(a, b)
-    # Each schema holds both operands; a's stray letters are named alone, as implies names them.
-    check_universe(a, u)
+    # a's and b's per mode; a's first, so a's stray letters are named alone, as implies names them.
+    tables = {m: {"a": truth_table(a, u, m).bits, "b": truth_table(b, u, m).bits} for m in Mode}
     reports = []
     for schema in _SCHEMAS:
-        f = paradox_formula(schema, a, b)
+        judged = paradox_formula(schema, Letter("a"), Letter("b"))
         # One relational table gives the status and the lowest false row.
-        t = truth_table(f, u, Mode.RELATIONAL)
+        t = compose(judged, tables[Mode.RELATIONAL], u, Mode.RELATIONAL)
         reports.append(
             ParadoxReport(
                 schema=schema,
-                formula=f,
-                material_tautology=truth_table(f, u, Mode.MATERIAL).is_all_true,
+                formula=paradox_formula(schema, a, b),
+                material_tautology=compose(judged, tables[Mode.MATERIAL], u, Mode.MATERIAL).is_all_true,
                 relational_tautology=t.is_all_true,
                 relational_status=t.status,
                 relational_witness=Interpretation.lowest(u, t.mask ^ t.bits),

@@ -60,7 +60,6 @@ from .formula import (
     Top,
     Universe,
     build_nodes,
-    letter_sequence,
     program,
 )
 from .limits import check_letters
@@ -342,13 +341,6 @@ def _stray_letters(names: tuple[str, ...], u: Universe) -> UniverseMismatch:
     return UniverseMismatch(f"letters {sorted(missing)} not in universe {u.letters}")
 
 
-def check_universe(f: Formula, u: Universe) -> None:
-    """Raise the error f's table over u would raise if u lacks a letter of f, building no table."""
-    names = letter_sequence(f)
-    if not set(names).issubset(u.letters):
-        raise _stray_letters(names, u)
-
-
 def _fold(f: Formula, u: Universe, m: Mode) -> int:
     """The evaluator: f's table over u as a bit vector.
 
@@ -375,6 +367,13 @@ def _fold(f: Formula, u: Universe, m: Mode) -> int:
 
 def truth_table(f: Formula, u: Universe, m: Mode) -> TruthTable:
     return TruthTable(u, _fold(f, u, m))
+
+
+def compose(f: Formula, tables: dict[str, int], u: Universe, m: Mode) -> TruthTable:
+    """f's table over u when each letter of f has the table over u that `tables` gives its name."""
+    codes, names = program(f)
+    leaves = [tables[name] for name in names] + [0, _all_rows(len(u))]
+    return TruthTable(u, _evaluate(codes, leaves, m is Mode.RELATIONAL)[0])
 
 
 def eval_material(f: Formula, i: Interpretation) -> bool:

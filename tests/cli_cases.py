@@ -90,8 +90,14 @@ CASES = [
     CliCase("audit_default", ("audit",), 0),
     CliCase("audit_same_letter", ("audit", "p", "p"), 0),
     CliCase("audit_json", ("audit", "--json"), 0),
+    # operands whose relational and material tables differ: q | (p -> q) is q
+    # relationally, q | ~p materially, so only the relational verdicts tell
+    # which of the two tables each schema was judged from
+    CliCase("audit_implication_operand", ("audit", "q | (p -> q)", "q"), 0),
     # universes from semantics._LOCAL_MIN_LETTERS (17) letters on decide implications in place
     CliCase("audit_17_letters_json", ("audit", "x0", "x1", "--universe", _LETTERS_17, "--json"), 0),
+    CliCase("audit_20_letters_implication_json",
+            ("audit", "x19 | (x0 -> x19)", "x19", "--universe", _LETTERS_20, "--json"), 0),
     CliCase("classify_17_letters_relational",
             ("classify", "x0 -> (x1 -> x0)", "--universe", _LETTERS_17), 1),
     CliCase("classify_17_letters_material",

@@ -13,7 +13,7 @@ import pytest
 from logicrel import cli, equivalence, relation, semantics
 from logicrel.cli import main, run
 from logicrel.limits import max_letters
-from logicrel.parser import parse
+from logicrel.parser import parse, render
 
 from cli_cases import CASES, run_case
 
@@ -120,7 +120,10 @@ def test_implies_builds_two_tables(monkeypatch, command):
     assert tables == 2
 
 
-@pytest.mark.parametrize("command", ["implies", "equiv", "entails", "relate"])
+PAIR_COMMANDS = ["implies", "equiv", "entails", "relate", "audit"]
+
+
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
 def test_pair_commands_report_the_first_operands_stray_letters(command):
     # The first operand's table is built first, so its lookup reports the
     # letters outside the universe; the second operand is never folded.
@@ -129,13 +132,29 @@ def test_pair_commands_report_the_first_operands_stray_letters(command):
     )
 
 
-def test_audit_builds_six_tables(monkeypatch):
-    # One material and one relational table per schema; the relational one
-    # gives the status and the witness.
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
+def test_pair_commands_report_the_second_operands_stray_letters(command):
+    assert run([command, "p", "y", "--universe", "p"]) == (
+        2, "", "universe error: letters ['y'] not in universe ('p',)\n"
+    )
+
+
+def test_audit_builds_four_tables(monkeypatch):
+    # One table per operand and mode; each schema is composed from them over
+    # two placeholder letters, and none is folded over the universe.
+    original, folded = semantics._fold, []
+
+    def recording(f, u, m):
+        folded.append((render(f), m))
+        return original(f, u, m)
+
+    monkeypatch.setattr(semantics, "_fold", recording)
     code, out, tables = _tables_built(monkeypatch, ["audit", "p", "q"])
     assert code == 0
     assert out.startswith("P1 ")
-    assert tables == 6
+    assert tables == 4
+    assert len(folded) == 4
+    assert set(folded) == {(name, m) for name in "pq" for m in semantics.Mode}
 
 
 # Help, usage errors, answers and an input error, each answered through argparse.

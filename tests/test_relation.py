@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from logicrel import relation, semantics
 from logicrel.equivalence import equivalent, is_contradiction, is_tautology
 from logicrel.errors import LimitError
-from logicrel.formula import And, Imp, Letter, Not, Or, Universe
+from logicrel.formula import And, Imp, Letter, Not, Or, Universe, max_imp_depth
 from logicrel.parser import parse
 from logicrel.relation import (
     FIRST_IS_BOTTOM,
@@ -23,7 +23,7 @@ from logicrel.relation import (
     paradox_formula,
     verify_lattice,
 )
-from logicrel.semantics import Mode, gen_random_formula
+from logicrel.semantics import Interpretation, Mode, gen_random_formula, truth_table
 
 from strategies import formulas
 
@@ -286,6 +286,36 @@ def test_criteria_match_the_composite_formulas_on_the_in_place_path(seed):
     a = gen_random_formula(5, U_WIDE, seed=2 * seed)
     b = gen_random_formula(5, U_WIDE, seed=2 * seed + 1)
     _assert_criteria_match_composites(a, b, U_WIDE)
+
+
+def _assert_audit_matches_the_schema_tables(a, b, u):
+    """Reference: each schema instantiated with a and b, and folded over u in each mode."""
+    for r in audit_paradoxes(a, b, u):
+        f = paradox_formula(r.schema, a, b)
+        rel = truth_table(f, u, Mode.RELATIONAL)
+        false_rows = rel.mask ^ rel.bits
+        lowest = (false_rows & -false_rows).bit_length() - 1
+        assert r.formula == f
+        assert r.material_tautology == truth_table(f, u, Mode.MATERIAL).is_all_true
+        assert (r.relational_tautology, r.relational_status) == (rel.is_all_true, rel.status)
+        assert r.relational_witness == (Interpretation.from_index(u, lowest) if false_rows else None)
+
+
+with_implication = formulas().filter(lambda f: max_imp_depth(f) > 0)
+
+
+@given(with_implication, with_implication)
+def test_audit_matches_the_schema_tables(a, b):
+    _assert_audit_matches_the_schema_tables(a, b, Universe(("p", "q", "r")))
+
+
+@pytest.mark.parametrize("width", [semantics._LOCAL_MIN_LETTERS, 20])
+@pytest.mark.parametrize("seed", range(10))
+def test_audit_matches_the_schema_tables_at_full_width(width, seed):
+    u = Universe(tuple(f"x{k}" for k in range(width)))
+    a = gen_random_formula(5, u, seed=2 * seed)
+    b = gen_random_formula(5, u, seed=2 * seed + 1)
+    _assert_audit_matches_the_schema_tables(a, b, u)
 
 
 @given(formulas(("p", "q")), formulas(("p", "q")))
