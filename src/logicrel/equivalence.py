@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import Formula, Universe
-from .semantics import Interpretation, Mode, truth_table
+from .semantics import Interpretation, Mode, TruthTable, truth_table
 
 
 @dataclass(frozen=True)
@@ -32,35 +32,32 @@ def default_universe(*fs: Formula) -> Universe:
     return Universe.of(*fs)
 
 
+def operand_tables(fs: tuple[Formula, ...], m: Mode, u: Optional[Universe]) -> tuple[Universe, list[TruthTable]]:
+    """u, or default_universe(*fs) if u is None, and each operand's table over it under m, first to last."""
+    if u is None:
+        u = default_universe(*fs)
+    return u, [truth_table(f, u, m) for f in fs]
+
+
 def equivalent(a: Formula, b: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:
     """Do a and b have identical truth tables over u under mode m?"""
-    if u is None:
-        u = default_universe(a, b)
-    ta = truth_table(a, u, m)
-    tb = truth_table(b, u, m)
+    u, (ta, tb) = operand_tables((a, b), m, u)
     return _verdict(u, ta.bits ^ tb.bits)
 
 
 def is_tautology(f: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:
     """All-ones table; witness is the lowest false row otherwise."""
-    if u is None:
-        u = default_universe(f)
-    t = truth_table(f, u, m)
+    u, [t] = operand_tables((f,), m, u)
     return _verdict(u, t.mask ^ t.bits)
 
 
 def is_contradiction(f: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:
     """All-zeros table; witness is the lowest true row otherwise."""
-    if u is None:
-        u = default_universe(f)
-    t = truth_table(f, u, m)
+    u, [t] = operand_tables((f,), m, u)
     return _verdict(u, t.bits)
 
 
 def entails(a: Formula, b: Formula, m: Mode, u: Optional[Universe] = None) -> Verdict:
     """Is b true at every row where a is?  Witness: lowest row with a true, b false."""
-    if u is None:
-        u = default_universe(a, b)
-    ta = truth_table(a, u, m)
-    tb = truth_table(b, u, m)
+    u, (ta, tb) = operand_tables((a, b), m, u)
     return _verdict(u, ta.bits & (ta.mask ^ tb.bits))

@@ -9,13 +9,13 @@ a letter as its index in the formula's letters in first-occurrence order and
 each constant and connective as its negative code in CODES.  `parse` emits
 that program and builds no nodes: a connective it returns holds the program
 (`parsed_root`) and builds its children from it, once, when they are first
-read, by `render`, ``==``, `hash`, `repr`, a field such as `.left`, or the
-walk `subformulas_bottom_up`.  A query that only needs tables reads the
-program and never builds a node.  The cache holds ints and names, never a
-node, so a parsed tree has no reference cycle and is freed by reference
-counting alone.  No other node holds a program: not TOP, BOTTOM or a Letter,
-which may be shared, not a parsed tree's inner nodes, and not a node made by
-the constructors, by unpickling or by copying.
+read, by `render`, `repr`, a field such as `.left`, or the walk
+`subformulas_bottom_up`.  ``==`` and `hash` compare programs and build no
+node, and neither does a query that only needs tables.  The cache holds ints
+and names, never a node, so a parsed tree has no reference cycle and is freed
+by reference counting alone.  No other node holds a program: not TOP, BOTTOM
+or a Letter, which may be shared, not a parsed tree's inner nodes, and not a
+node made by the constructors, by unpickling or by copying.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ LETTER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 class _Node:
-    """Immutability, pickling, and ==, hash() and repr() as folds over subformulas_bottom_up.
+    """Immutability, pickling, ==, hash(), and repr() as a fold over subformulas_bottom_up.
 
-    Each kind names its fields once, in __match_args__.  The folds work at any
-    nesting depth, where recursing through the fields would not.  The post-order
-    of (kind, letter name) pairs fixes the tree: each kind fixes its child count.
+    Each kind names its fields once, in __match_args__.  == and hash() read
+    `program`, which fixes the tree because each kind's constructor fixes its
+    child count; a root that `parse` returned gives its cached program, so
+    they build no node.  Both work at any nesting depth, where recursing
+    through the fields would not.
     """
 
     __slots__ = ()
@@ -53,7 +55,8 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def _key(self) -> tuple:
-        return tuple((type(g), g.name if type(g) is Letter else None) for g in subformulas_bottom_up(self))
+        codes, names = program(self)
+        return tuple(codes), names
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -158,23 +161,6 @@ _set_children = _Connective.children.__set__
 _set_walk = _Connective._walk.__set__
 
 
-def build(kind: "type[_Connective]", children: "tuple[Formula, ...]") -> "Formula":
-    """A node of connective `kind` over `children`, trusted to be one formula per field.
-
-    For trusted internal callers only, such as `build_nodes`: it is not part of
-    the `logicrel` API and is absent from `logicrel.__all__`. It skips the
-    public constructors' argument binding and checks, so it costs about half
-    as much per node, but nothing stops a wrong count. `build(And, (p,))`
-    breaks the rule `_Node._key` relies on, that each kind fixes its child
-    count, so such a node can compare and hash equal to a different tree,
-    and its `.right` raises `IndexError`.
-    """
-    node = object.__new__(kind)
-    _set_children(node, children)
-    _set_walk(node, None)
-    return node
-
-
 # The program code of each constant and connective; a letter's code is its
 # index, from 0, in the program's names.  T and F are -1 and -2, so a list of
 # one value per name followed by F's and T's is indexed by every leaf code, and
@@ -186,8 +172,8 @@ _KINDS = {code: kind for kind, code in CODES.items()}
 def build_nodes(codes: "list[int]", names: "tuple[str, ...]") -> "list[Formula]":
     """The subformulas a run of program codes leaves, in order; a whole program leaves its formula.
 
-    Nodes are made with `build`, and one Letter per name.  For trusted
-    internal callers, like `build`, and absent from `logicrel.__all__`.
+    Each connective is made by its constructor, and one Letter per name.  For
+    internal callers; absent from `logicrel.__all__`.
     """
     leaves = [*map(Letter, names), BOTTOM, TOP]
     not_code = CODES[Not]
@@ -196,10 +182,10 @@ def build_nodes(codes: "list[int]", names: "tuple[str, ...]") -> "list[Formula]"
         if code > not_code:
             stack.append(leaves[code])
         elif code == not_code:
-            stack[-1] = build(Not, (stack[-1],))
+            stack[-1] = Not(stack[-1])
         else:
             right = stack.pop()
-            stack[-1] = build(_KINDS[code], (stack[-1], right))
+            stack[-1] = _KINDS[code](stack[-1], right)
     return stack
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .equivalence import default_universe
+from .equivalence import default_universe, operand_tables
 from .errors import LimitError
 from .formula import Formula, Imp, Letter, Not, Or, Universe
 from .semantics import Interpretation, Mode, compose, le, truth_table
@@ -94,10 +94,7 @@ def implies_rel(a: Formula, b: Formula, u: Optional[Universe] = None) -> bool:
 
 def criteria_report(a: Formula, b: Formula, u: Optional[Universe] = None) -> CriteriaReport:
     """Evaluate all three criteria separately and report whether they agree."""
-    if u is None:
-        u = default_universe(a, b)
-    ta = truth_table(a, u, Mode.RELATIONAL)
-    tb = truth_table(b, u, Mode.RELATIONAL)
+    u, (ta, tb) = operand_tables((a, b), Mode.RELATIONAL, u)
     x, y, mask = ta.bits, tb.bits, ta.mask
     refuting = x & (mask ^ y)  # the rows of first & ~second
     and_absorb = le(x, y)
@@ -115,10 +112,7 @@ def classify_relation(a: Formula, b: Formula, u: Optional[Universe] = None) -> R
     kind is then picked so that inclusion-forward still means exactly
     "the relation holds and the operands are not equivalent".
     """
-    if u is None:
-        u = default_universe(a, b)
-    ta = truth_table(a, u, Mode.RELATIONAL)
-    tb = truth_table(b, u, Mode.RELATIONAL)
+    u, (ta, tb) = operand_tables((a, b), Mode.RELATIONAL, u)
 
     flags = set()
     if ta.is_all_false:

@@ -86,6 +86,12 @@ CASES = [
     # relate
     CliCase("relate_joint", ("relate", "p", "q"), 0),
     CliCase("relate_degenerate_top", ("relate", "p", "T", "--json"), 0),
+    CliCase("relate_disjoint", ("relate", "p", "~p"), 0),
+    CliCase("relate_inclusion_backward_json", ("relate", "p | q", "p", "--json"), 0),
+    CliCase("relate_equivalent", ("relate", "p & q", "q & p"), 0),
+    CliCase("relate_degenerate_bottom_top", ("relate", "F", "T"), 0),
+    CliCase("relate_degenerate_first_top_json", ("relate", "T", "p", "--json"), 0),
+    CliCase("relate_degenerate_second_bottom", ("relate", "p", "F"), 0),
     # audit
     CliCase("audit_default", ("audit",), 0),
     CliCase("audit_same_letter", ("audit", "p", "p"), 0),
@@ -124,6 +130,24 @@ CASES = [
     CliCase("error_parse", ("classify", "p -> -> q"), 2,
             stderr="parse error: unexpected '->' at offset 5, expected one of "
                    "'(', 'F', 'T', '~', letter\n"),
+    CliCase("error_parse_stray_dash", ("classify", "p - q"), 2,
+            stderr="parse error: stray '-' at offset 2, expected one of '->'\n"),
+    CliCase("error_parse_uppercase_letter", ("classify", "P & q"), 2,
+            stderr="parse error: invalid letter name 'P' (letters start lowercase) at offset 0\n"),
+    CliCase("error_parse_unexpected_character", ("classify", "p ? q"), 2,
+            stderr="parse error: unexpected character '?' at offset 2\n"),
+    # offsets count UTF-8 bytes: the two-byte '¬' puts '?' at offset 4
+    CliCase("error_parse_utf8_offset", ("classify", "¬p ? q"), 2,
+            stderr="parse error: unexpected character '?' at offset 4\n"),
+    CliCase("error_parse_end_of_input", ("classify", "p &"), 2,
+            stderr="parse error: unexpected end of input at offset 3, expected one of "
+                   "'(', 'F', 'T', '~', letter\n"),
+    CliCase("error_parse_after_operand", ("classify", "p q"), 2,
+            stderr="parse error: unexpected 'q' at offset 2, expected one of "
+                   "'&', '->', '|', end of input\n"),
+    CliCase("error_parse_unclosed", ("classify", "(p"), 2,
+            stderr="parse error: unexpected end of input at offset 2, expected one of "
+                   "'&', ')', '->', '|'\n"),
     CliCase("error_nesting_limit", ("classify", "(" * 101 + "p" + ")" * 101), 3,
             stderr="limit error: formula nests deeper than 100 levels\n"),
     CliCase("error_missing_operand", ("equiv", "p"), 2,

@@ -28,6 +28,27 @@ def test_golden(case):
     assert out == case.stdout_file.read_text(encoding="utf-8")
 
 
+def test_relate_goldens_cover_every_kind_and_degenerate_flag():
+    kinds, flags = set(), set()
+    for case in CASES:
+        if case.argv[0] != "relate" or case.code != 0:
+            continue
+        out = case.stdout_file.read_text(encoding="utf-8")
+        if "--json" in case.argv:
+            result = json.loads(out)["result"]
+            kinds.add(result["kind"])
+            flags.update(result["degenerate"])
+        else:
+            kind, *rest = out.splitlines()
+            kinds.add(kind)
+            for line in rest:
+                assert line.startswith("degenerate: "), case.name
+                flags.update(line.split()[1:])
+    assert kinds == {kind.value for kind in relation.RelationKind}
+    assert flags == {relation.FIRST_IS_BOTTOM, relation.FIRST_IS_TOP,
+                     relation.SECOND_IS_BOTTOM, relation.SECOND_IS_TOP}
+
+
 def test_json_envelope_key_order():
     code, out, _ = run(["classify", "p", "--json"])
     assert code == 1

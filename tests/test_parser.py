@@ -8,7 +8,7 @@ from hypothesis import given
 
 from logicrel import formula
 from logicrel.errors import LimitError, LogicError, ParseError
-from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe, build
+from logicrel.formula import And, Imp, Letter, Not, Or, TOP, BOTTOM, Universe
 from logicrel.parser import _TOKENS, SyntaxStyle, _offset, parse, render
 from logicrel.semantics import gen_random_formula
 
@@ -234,19 +234,21 @@ class TestTokenStrings:
         assert parse(text) == f
 
     def test_built_nodes_behave_as_constructed_ones(self):
-        P, Q = Letter("p"), Letter("q")
         pairs = [
-            (build(Not, (P,)), Not(P)),
-            (build(And, (P, Q)), And(P, Q)),
-            (build(Or, (Q, build(Not, (TOP,)))), Or(Q, Not(TOP))),
-            (build(Imp, (build(And, (P, BOTTOM)), Q)), Imp(And(P, BOTTOM), Q)),
+            ("~p", Not(P)),
+            ("p & q", And(P, Q)),
+            ("q | ~T", Or(Q, Not(TOP))),
+            ("p & F -> q", Imp(And(P, BOTTOM), Q)),
         ]
-        for built, made in pairs:
-            assert type(built) is type(made) and built.children == made.children
-            assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
-            assert pickle.dumps(built) == pickle.dumps(made)
-            assert pickle.loads(pickle.dumps(built)) == made
-            assert copy.deepcopy(built) == made
+        for text, tree in pairs:
+            root = parse(text)
+            assert type(root) is type(tree) and len(root.children) == len(tree.children)
+            for built, made in [(root, tree), *zip(root.children, tree.children)]:
+                assert type(built) is type(made) and built.children == made.children
+                assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+                assert pickle.dumps(built) == pickle.dumps(made)
+                assert pickle.loads(pickle.dumps(built)) == made
+                assert copy.deepcopy(built) == made
 
 
 class TestRender:

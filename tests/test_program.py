@@ -37,10 +37,10 @@ TEXTS = [
 
 
 def refuse_nodes(monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **named):
         raise AssertionError("a node was built")
 
-    monkeypatch.setattr(formula, "build", refuse)
+    monkeypatch.setattr(formula._Connective, "__init__", refuse)
 
 
 def composites(seed):
@@ -75,6 +75,24 @@ def test_parsed_and_built_tables_match_the_oracle(monkeypatch, text, mode):
         parsed = truth_table(parse(text), u, mode)
         monkeypatch.undo()
         assert rows(parsed) == rows(truth_table(reference, u, mode)) == oracle_rows(reference, u.letters, mode)
+
+
+def test_comparing_parsed_roots_builds_no_node(monkeypatch):
+    """==, != and hash read each root's cached program: no node is built, and no root's children."""
+    texts = TEXTS + OPERAND_TEXTS[-1:]
+    references = [rebuilt(parse(text)) for text in texts]
+    refuse_nodes(monkeypatch)
+    roots, again = [parse(text) for text in texts], [parse(text) for text in texts]
+    for k, text in enumerate(texts):
+        f, g = roots[k], again[k]
+        assert f == g and not f != g and hash(f) == hash(g), text
+        assert f == references[k] and hash(f) == hash(references[k]), text
+        differs = references[k] != references[k - 1]
+        assert (f != roots[k - 1]) == differs and (f == roots[k - 1]) != differs, text
+    for f in roots + again:
+        if f._walk is not None:  # a connective root: its children are still unread
+            with pytest.raises(AttributeError):
+                object.__getattribute__(f, "children")
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
