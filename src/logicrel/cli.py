@@ -18,13 +18,12 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
 from . import __version__
 from .equivalence import Verdict, default_universe, entails, equivalent
 from .errors import LimitError, LogicError, ParseError, UniverseMismatch
-from .formula import Formula, Universe
+from .formula import Formula, Record, Universe, set_field
 from .limits import read_once
 from .parser import parse, render
 from .relation import (
@@ -63,17 +62,24 @@ def _witness_json(i: Optional[Interpretation]) -> Optional[dict[str, bool]]:
     return None if i is None else i.as_dict()
 
 
-@dataclass
-class _Outcome:
+class _Outcome(Record):
     """One answer: exit code, text lines, JSON result payload and JSON witness."""
 
     code: int
     lines: Iterable[str]
-    result: object = None
-    witness: Optional[dict[str, bool]] = None
+    result: object
+    witness: Optional[dict[str, bool]]
     # A table's bits_hex: the last key of the JSON result object, kept out of it
     # so that the writer can pass it through without an escape scan or a copy.
-    bits_hex: Optional[str] = None
+    bits_hex: Optional[str]
+
+    def __init__(self, code: int, lines: Iterable[str], result: object = None,
+                 witness: Optional[dict[str, bool]] = None, bits_hex: Optional[str] = None) -> None:
+        set_field(self, "code", code)
+        set_field(self, "lines", lines)
+        set_field(self, "result", result)
+        set_field(self, "witness", witness)
+        set_field(self, "bits_hex", bits_hex)
 
 
 # Encodes as json.dumps(value, ensure_ascii=False) does, without building an encoder per call.
@@ -191,8 +197,7 @@ def _audit(fs: list[Formula], u: Universe, mode: Mode) -> _Outcome:
     return _Outcome(HOLDS, lines, payload)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Record):
     """A query subcommand: how argparse builds it and how one query is answered."""
 
     help: str
@@ -248,9 +253,13 @@ def _run_corpus(spec: _Command, source: str, stdin, override, mode: Mode) -> _Ou
     else:
         with open(source, encoding="utf-8") as fh:
             raw = fh.read()
+    # Lines end at universal newlines only, as text-mode open() reads them:
+    # str.splitlines would also break at \v, \f, \x1c-\x1e, \x85, U+2028 and
+    # U+2029, which parse reads as whitespace inside a formula.
+    lines = raw.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     worst = HOLDS
     text_lines, records = [], []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,17 +7,19 @@ are deterministic and directly assertable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Formula, Universe
+from .formula import Formula, Record, Universe, set_field
 from .semantics import Interpretation, Mode, TruthTable, truth_table
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     holds: bool
-    witness: Optional[Interpretation] = None
+    witness: Optional[Interpretation]
+
+    def __init__(self, holds: bool, witness: Optional[Interpretation] = None) -> None:
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds

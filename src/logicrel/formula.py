@@ -16,18 +16,95 @@ and names, never a node, so a parsed tree has no reference cycle and is freed
 by reference counting alone.  No other node holds a program: not TOP, BOTTOM
 or a Letter, which may be shared, not a parsed tree's inner nodes, and not a
 node made by the constructors, by unpickling or by copying.
+
+Universe, and every result type of the other modules, is a `Record`: an
+immutable value that behaves as a frozen dataclass does, made without
+importing `dataclasses`, which would slow every start of the CLI.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
 from .limits import check_letters
 
 LETTER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+
+
+def _refuse(self: object, name: str, *value: object) -> None:
+    """__setattr__ and __delattr__ of nodes and records: raise dataclasses.FrozenInstanceError.
+
+    dataclasses is imported here, when something tries to assign, and not at
+    import: it loads inspect, ast and dis.
+    """
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+# How a record's constructor sets a field past _refuse.  Bound once, it is
+# looked up faster than object.__setattr__ in the constructors built per table.
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value whose fields are the class's annotated names, in order.
+
+    As with a frozen dataclass: == (NotImplemented for another class),
+    hash() and repr() read the fields in that order, `match` binds them
+    positionally through __match_args__, and assigning or deleting an
+    attribute raises FrozenInstanceError.  This constructor fills the fields
+    positionally, then by keyword, then from the class attribute of the same
+    name, which is the field's default; a type built in a hot loop writes its
+    own.  Each field is set by set_field, which stores it in the
+    instance's inline values, as a dataclass's are, in place of a dict per
+    instance.  Pickling and copying restore the fields without __init__, a
+    cached_property's value included.
+    """
+
+    __match_args__: "tuple[str, ...]" = ()
+    __setattr__ = __delattr__ = _refuse
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += tuple(cls.__annotations__)  # a subclass keeps its base's fields first
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__match_args__
+        if named or len(values) != len(fields):
+            values = self._complete(values, named)
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+
+    @classmethod
+    def _complete(cls, values: tuple, named: dict) -> tuple:
+        """The positional values, then each later field's keyword value or else its default."""
+        fields = cls.__match_args__
+        try:
+            values += tuple([named.pop(name) if name in named else getattr(cls, name)
+                             for name in fields[len(values):]])
+        except AttributeError:  # a field with no default was not given
+            values = ()
+        if named or len(values) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}")
+        return values
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        """The constructor text with field names, e.g. Universe(letters=('p', 'q'))."""
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class _Node:
@@ -44,11 +121,7 @@ class _Node:
     children: "tuple[Formula, ...]" = ()  # a leaf's; a connective stores its own
     _walk: "tuple[list[int], tuple[str, ...]] | None" = None  # a leaf's; see parsed_root for a connective's
     __match_args__: "tuple[str, ...]" = ()
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self) -> tuple:
         """Rebuild from the fields; the default would set each slot, which __setattr__ refuses."""
@@ -279,8 +352,7 @@ def max_imp_depth(f: Formula) -> int:
     return depths[0]
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """Ordered set of distinct letters; order fixes bit positions in interpretations."""
 
     letters: tuple[str, ...]
@@ -299,7 +371,7 @@ class Universe:
     def _hold(self, letters: "tuple[str, ...]") -> None:
         """The core both constructors share: the letter limit, then the field."""
         check_letters(len(letters), "universe has {} letters")
-        object.__setattr__(self, "letters", letters)
+        set_field(self, "letters", letters)
 
     @classmethod
     def of(cls, *fs: Formula) -> "Universe":

@@ -12,18 +12,16 @@ force that the relation orders truth-table classes into a bounded lattice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .equivalence import default_universe, operand_tables
 from .errors import LimitError
-from .formula import Formula, Imp, Letter, Not, Or, Universe
+from .formula import Formula, Imp, Letter, Not, Or, Record, Universe
 from .semantics import Interpretation, Mode, compose, le, truth_table
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(Record):
     """The three equivalent ways of stating the relation, computed independently.
 
     Each is read from the operands' relational tables x and y; mask has every row.
@@ -58,14 +56,12 @@ SECOND_IS_BOTTOM = "second_is_bottom"
 SECOND_IS_TOP = "second_is_top"
 
 
-@dataclass(frozen=True)
-class RelationClass:
+class RelationClass(Record):
     kind: RelationKind
-    degenerate: frozenset[str] = field(default_factory=frozenset)
+    degenerate: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(Record):
     """One paradox schema instantiated and judged under both modes."""
 
     schema: str
@@ -76,8 +72,7 @@ class ParadoxReport:
     relational_witness: Optional[Interpretation]  # lowest false row when not a tautology
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(Record):
     universe_size: int
     class_count: int
     failures: tuple[tuple[str, tuple[int, ...]], ...]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -57,10 +56,12 @@ from .formula import (
     Letter,
     Not,
     Or,
+    Record,
     Top,
     Universe,
     build_nodes,
     program,
+    set_field,
 )
 from .limits import check_letters
 
@@ -76,18 +77,17 @@ def _check_row(universe: Universe, row: int) -> None:
         raise ValueError(f"row {row} out of range for {len(universe)} letters")
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """One truth assignment: values[k] belongs to the k-th universe letter."""
 
     universe: Universe
     values: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.universe):
-            raise ValueError(
-                f"{len(self.values)} values for {len(self.universe)} letters"
-            )
+    def __init__(self, universe: Universe, values: tuple[bool, ...]) -> None:
+        if len(values) != len(universe):
+            raise ValueError(f"{len(values)} values for {len(universe)} letters")
+        set_field(self, "universe", universe)
+        set_field(self, "values", values)
 
     @classmethod
     def from_index(cls, universe: Universe, row: int) -> "Interpretation":
@@ -129,16 +129,17 @@ class Interpretation:
         return dict(zip(self.universe.letters, self.values))
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """Bit vector of a formula's value at every interpretation of the universe."""
 
     universe: Universe
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits.bit_length() > self.rows:
+    def __init__(self, universe: Universe, bits: int) -> None:
+        if bits < 0 or bits.bit_length() > 1 << len(universe):
             raise ValueError("bit vector out of range for universe size")
+        set_field(self, "universe", universe)
+        set_field(self, "bits", bits)
 
     @property
     def rows(self) -> int:

@@ -51,6 +51,9 @@ _CORPUS_PAIRS = str(GOLDEN_DIR / "corpus_pairs.txt")
 _LETTERS_17 = ",".join(f"x{k}" for k in range(17))
 _LETTERS_20 = ",".join(f"x{k}" for k in range(20))
 _AND_20 = " & ".join(f"x{k}" for k in range(20))
+# Five lines, ended by \n, \n, \r\n, \r and \n, with every other character
+# that str.splitlines breaks at inside or around a formula.
+_WHITESPACE_CORPUS = "p &\fq\nq |\v~q\n~r\x1c& r\r\np\x1d& q\x1e-> q\r\x85r\u2028&\u2029s\n"
 
 CASES = [
     # classify: exit 0 on a tautology, 1 otherwise
@@ -126,6 +129,10 @@ CASES = [
             stdin="p | ~p\n# comment\nT\n"),
     CliCase("corpus_pair_separator", ("equiv", "--corpus", "-"), 2,
             stdin="p ; q\np\np ; q ; r\nq ; q\n"),
+    # lines end at universal newlines only: the rest is whitespace, as parse reads it
+    CliCase("corpus_line_ends", ("classify", "--corpus", "-"), 1, stdin=_WHITESPACE_CORPUS),
+    CliCase("corpus_line_ends_json", ("classify", "--corpus", "-", "--json"), 1,
+            stdin=_WHITESPACE_CORPUS),
     # error paths: exit 2 on bad input, 3 on limit violations
     CliCase("error_parse", ("classify", "p -> -> q"), 2,
             stderr="parse error: unexpected '->' at offset 5, expected one of "
